@@ -3,13 +3,14 @@
 // flips between a query-heavy and an update-heavy mix — and (b) the
 // hysteresis factor, which trades adaptation speed against thrashing.
 // Self-timed; every experiment replays the identical operation stream
-// online / per-phase-oracle / per-candidate-static (see online/experiment.h).
+// online / per-phase-oracle / per-candidate-static (see
+// online/joint_experiment.h).
 
 #include <cstdio>
 #include <string>
 
 #include "bench_json.h"
-#include "online/experiment.h"
+#include "online/joint_experiment.h"
 
 namespace {
 
@@ -49,9 +50,9 @@ TraceSpec MakeFlippingTrace(std::uint64_t phase_ops, int flips) {
   return spec;
 }
 
-int CountSwitches(const ExperimentReport& r) {
+int CountSwitches(const JointExperimentReport& r) {
   int switches = 0;
-  for (const ReconfigurationEvent& ev : r.events) {
+  for (const JointReconfigurationEvent& ev : r.events) {
     if (!ev.initial) ++switches;
   }
   return switches;
@@ -71,17 +72,17 @@ int main() {
   for (const std::uint64_t phase_ops : {4096u, 2048u, 1024u, 512u}) {
     const int flips = static_cast<int>(8192 / phase_ops);
     const TraceSpec spec = MakeFlippingTrace(phase_ops, flips);
-    const ExperimentReport r =
-        RunOnlineExperiment(spec, ControllerOptions{}).value();
+    const JointExperimentReport r =
+        RunJointOnlineExperiment(spec, ControllerOptions{}).value();
     std::printf("  %-11llu %-10d %-11.0f %-11.0f %-13.0f %-15.3f %.3f\n",
                 static_cast<unsigned long long>(phase_ops), CountSwitches(r),
                 r.online.total_cost(), r.oracle.total_cost(),
-                r.best_static_cost(), r.online_vs_best_static(),
+                r.best_static_joint_cost(), r.online_vs_best_static_joint(),
                 r.online_vs_oracle());
     const std::string prefix = "phase" + std::to_string(phase_ops);
     json.Add(prefix + "_online_cost", r.online.total_cost());
     json.Add(prefix + "_oracle_cost", r.oracle.total_cost());
-    json.Add(prefix + "_best_static_cost", r.best_static_cost());
+    json.Add(prefix + "_best_static_cost", r.best_static_joint_cost());
     json.Add(prefix + "_switches", CountSwitches(r));
   }
   std::printf(
@@ -98,7 +99,8 @@ int main() {
   for (const double theta : {1.0, 1.5, 4.0, 16.0, 1e9}) {
     ControllerOptions options;
     options.hysteresis = theta;
-    const ExperimentReport r = RunOnlineExperiment(spec, options).value();
+    const JointExperimentReport r =
+        RunJointOnlineExperiment(spec, options).value();
     std::printf("  %-9.3g %-10d %-18.0f %-14.0f %.3f\n", theta,
                 CountSwitches(r), r.online.transition_pages(),
                 r.online.total_cost(), r.online_vs_oracle());

@@ -83,10 +83,7 @@ std::map<std::string, PhaseResult> RunAt(const TraceSpec& s, int threads) {
   ServeDriver driver(&db, s, ServeOptions{threads});
   driver.Populate();
 
-  ControllerOptions copts;
-  copts.orgs = s.options.orgs;
-  copts.physical_params = s.catalog.params();
-  JointReconfigurationController controller(&db, copts);
+  JointReconfigurationController controller(&db, ControllerOptionsFor(s));
   db.SetObserver(&controller);
 
   std::map<std::string, PhaseResult> results;
@@ -143,7 +140,7 @@ int main() {
 
   std::printf(
       "\n(speedup is ops/sec vs the 1-thread run of the same phase; the\n"
-      " 1-thread run is byte-identical to the single-threaded replayer)\n");
+      " 1-thread run is the deterministic replay the experiments use)\n");
   json.Write();
   return 0;
 }

@@ -1,15 +1,14 @@
 // pathix_online: online index selection on a live simulated database.
 //
 // Feed it a trace spec (see src/io/spec_parser.h for the format): an object
-// population plus timed operation batches whose mix shifts per phase.
+// population plus timed operation batches whose mix shifts per phase, over
+// one or more `path` lines with an optional storage `budget`.
 //
-// Single-path traces replay three ways — the online controller (monitor /
-// selector / hysteresis, reconfiguring live), the per-phase offline oracle,
-// and every candidate static configuration. Multi-path traces (several
-// `path` lines, optionally a storage `budget`) run the *joint* pipeline
-// instead: a JointReconfigurationController re-solving the workload
-// advisor's storage-budgeted joint selection on drift, compared against the
-// per-phase joint oracle and static joint / independent baselines.
+// The trace replays three ways (online/joint_experiment.h): the online
+// controller (monitor / joint selection / hysteresis, reconfiguring live),
+// the per-phase oracle, and the static candidates — the optimum of the
+// averaged mix and of each phase's mix, plus the unbudgeted per-path
+// optima. A single path is the one-path case of the same pipeline.
 //
 //   $ ./examples/pathix_online ../examples/specs/vehicle_drift_trace.pix
 //   $ ./examples/pathix_online ../examples/specs/vehicle_joint_trace.pix
@@ -41,13 +40,13 @@
 //
 // Whenever any of these is given, the online run's metric counter deltas
 // (final snapshot minus the post-populate baseline) are reconciled exactly
-// against the replayer's per-phase operation tallies; a mismatch is an
+// against the serve driver's per-phase operation tallies; a mismatch is an
 // error (exit 1). A decision ledger is additionally reconciled against the
 // controller: its commit verdicts must match the committed
 // reconfiguration count.
 //
-// Exit status: 0 when the online run beats the best (budget-feasible)
-// static configuration and stays within 2x of the oracle (the acceptance
+// Exit status: 0 when the online run beats the best budget-feasible static
+// configuration and stays within 2x of the oracle (the acceptance
 // envelope), 1 on error, 2 when the envelope is missed.
 
 #include <cstdint>
@@ -66,7 +65,6 @@
 #include "obs/trace.h"
 #include "online/decision_record.h"
 #include "online/event_json.h"
-#include "online/experiment.h"
 #include "online/joint_experiment.h"
 #include "online/measured_validation.h"
 
@@ -183,9 +181,9 @@ bool WriteFileOrWarn(const std::string& path, const std::string& body,
 }
 
 // The acceptance invariant behind the exports: every successful operation
-// the replayer executed in the online run must appear, exactly once, as a
-// metric counter increment. Counter deltas (final snapshot minus the
-// post-populate baseline) are compared against the replayer's own tallies.
+// the online run executed must appear, exactly once, as a metric counter
+// increment. Counter deltas (final snapshot minus the post-populate
+// baseline) are compared against the serve driver's own tallies.
 bool CrossCheckOnlineMetrics(const pathix::TraceSpec& s,
                              const pathix::ExperimentRun& online,
                              const pathix::obs::MetricsSnapshot& baseline,
@@ -322,20 +320,24 @@ void AppendPhaseStat(const pathix::obs::MetricsSnapshot& window,
   rows->push_back(std::move(row));
 }
 
+// The controller label of the ledger's mode/controller keys and of the
+// pathix_advisor_* metric series.
+constexpr const char* kController = "joint";
+
 /// Assembles and writes the JSONL decision ledger: the meta line, every
-/// phase's decision records (already phase-stamped by the replayer), and a
-/// phase_summary per phase whose percentile tables come from the windowed
-/// snapshot deltas. Cross-checks the ledger's commit verdicts against the
-/// controller's committed reconfiguration count; returns false on mismatch
-/// or an unwritable file.
-template <typename Report>
-bool EmitDecisionLedger(const pathix::TraceSpec& s, const Report& r,
-                        const char* mode, const ObsFlags& flags) {
+/// phase's decision records (already phase-stamped by the serve driver),
+/// and a phase_summary per phase whose percentile tables come from the
+/// windowed snapshot deltas. Cross-checks the ledger's commit verdicts
+/// against the controller's committed reconfiguration count; returns false
+/// on mismatch or an unwritable file.
+bool EmitDecisionLedger(const pathix::TraceSpec& s,
+                        const pathix::JointExperimentReport& r,
+                        const ObsFlags& flags) {
   using namespace pathix;
-  const ControllerOptions opts;  // what the runners were handed (defaults)
+  const ControllerOptions opts;  // what the experiment was handed (defaults)
 
   LedgerMeta meta;
-  meta.mode = mode;
+  meta.mode = kController;
   meta.spec = flags.spec_label;
   meta.theta = opts.hysteresis;
   meta.horizon_ops = opts.horizon_ops;
@@ -395,7 +397,8 @@ bool EmitDecisionLedger(const pathix::TraceSpec& s, const Report& r,
                       &summary.op_pages);
     }
     AppendPhaseStat(window, "pathix_advisor_resolve_duration_us",
-                    {{"controller", mode}}, "re_solve", &summary.latency_us);
+                    {{"controller", kController}}, "re_solve",
+                    &summary.latency_us);
     WriteLedgerPhaseSummary(&log, summary);
   }
 
@@ -419,13 +422,11 @@ bool EmitDecisionLedger(const pathix::TraceSpec& s, const Report& r,
   return WriteFileOrWarn(flags.decisions_out, log.str(), "decisions");
 }
 
-/// Everything the observability flags ask for, for either report flavor
-/// (\p Report is ExperimentReport or JointExperimentReport — both carry the
-/// snapshots, and WriteEventLog overloads on the event type). Returns
-/// false on cross-check failure or unwritable output file.
-template <typename Report>
-bool EmitObservability(const pathix::TraceSpec& s, const Report& r,
-                       const char* mode, const ObsFlags& flags) {
+/// Everything the observability flags ask for. Returns false on
+/// cross-check failure or unwritable output file.
+bool EmitObservability(const pathix::TraceSpec& s,
+                       const pathix::JointExperimentReport& r,
+                       const ObsFlags& flags) {
   using namespace pathix;
   if (!flags.any()) return true;
   if (!CrossCheckOnlineMetrics(s, r.online, r.online_metrics_baseline,
@@ -441,7 +442,7 @@ bool EmitObservability(const pathix::TraceSpec& s, const Report& r,
   if (!flags.metrics_json.empty()) {
     obs::JsonWriter w;
     w.BeginObject();
-    w.Key("mode").Value(mode);
+    w.Key("mode").Value(kController);
     w.Key("metrics");
     obs::WriteMetricsJson(&w, r.online_metrics);
     w.Key("events");
@@ -451,8 +452,7 @@ bool EmitObservability(const pathix::TraceSpec& s, const Report& r,
       return false;
     }
   }
-  if (!flags.decisions_out.empty() &&
-      !EmitDecisionLedger(s, r, mode, flags)) {
+  if (!flags.decisions_out.empty() && !EmitDecisionLedger(s, r, flags)) {
     return false;
   }
   if (!flags.trace_out.empty()) {
@@ -467,78 +467,8 @@ bool EmitObservability(const pathix::TraceSpec& s, const Report& r,
   return true;
 }
 
-int RunSinglePath(const pathix::TraceSpec& s, const ObsFlags& flags,
-                  std::size_t buffer_pages) {
-  using namespace pathix;
-  Result<ExperimentReport> result =
-      RunOnlineExperiment(s, ControllerOptions{}, buffer_pages);
-  if (!result.ok()) {
-    std::cerr << "error: " << result.status().ToString() << "\n";
-    return 1;
-  }
-  const ExperimentReport& r = result.value();
-  const Path& path = s.paths[0].path;
-
-  std::cout << "=== Online index selection on " << path.ToString(s.schema)
-            << " ===\n\n";
-  PrintHeader(s);
-  PrintRun(r.online);
-  PrintRun(r.oracle);
-  for (const StaticCandidate& c : r.statics) PrintRun(c.run);
-
-  std::cout << "\noracle per-phase configurations:\n";
-  for (std::size_t i = 0; i < r.oracle_configs.size(); ++i) {
-    std::cout << "  " << s.phases[i].name << " : "
-              << r.oracle_configs[i].ToString(s.schema, path) << "\n";
-  }
-
-  std::cout << "\nonline reconfiguration points (" << r.events.size()
-            << "):\n";
-  for (const ReconfigurationEvent& ev : r.events) {
-    std::cout << "  op " << ev.op_index << ": "
-              << (ev.initial ? "install " : "switch to ")
-              << ev.to.ToString(s.schema, path);
-    if (!ev.initial) {
-      std::printf(" (predicted savings %.3f pages/op, transition %.0f pages)",
-                  ev.predicted_savings_per_op, ev.transition.total());
-    }
-    std::cout << "\n";
-  }
-
-  const int best = r.best_static;
-  std::printf(
-      "\ntotal cost, online         : %.0f  (%.0f measured + %.0f modeled "
-      "transition; %.0f measured transition)\n"
-      "total cost, oracle         : %.0f  (per-phase optimum, free switches)\n"
-      "total cost, best static    : %.0f  (%s)\n"
-      "online / best static       : %.3f  %s\n"
-      "online / oracle (regret)   : %.3f  %s\n",
-      r.online.total_cost(), r.online.measured_pages(),
-      r.online.transition_pages(), r.online.measured_transition_pages(),
-      r.oracle.total_cost(), r.best_static_cost(),
-      best >= 0 ? r.statics[static_cast<std::size_t>(best)].label.c_str()
-                : "n/a",
-      r.online_vs_best_static(),
-      r.online_vs_best_static() < 1 ? "(adapting beat every fixed choice)"
-                                    : "(a static choice was at least as good)",
-      r.online_vs_oracle(),
-      r.online_vs_oracle() <= 2 ? "(within the 2x envelope)"
-                                : "(outside the 2x envelope)");
-
-  if (!EmitObservability(s, r, "single", flags)) return 1;
-  if (s.measure && PrintMeasuredVsModeled(s) != 0) return 1;
-
-  // The acceptance envelope is a property of the paper's cold cost model:
-  // a warm pool shrinks every measured total while the modeled transition
-  // charges stay fixed, so buffered (ablation) runs report the ratios
-  // without gating the exit code on them.
-  const bool ok = buffer_pages > 0 ||
-                  (r.online_vs_best_static() < 1 && r.online_vs_oracle() <= 2);
-  return ok ? 0 : 2;
-}
-
-int RunJoint(const pathix::TraceSpec& s, const ObsFlags& flags,
-             std::size_t buffer_pages) {
+int Run(const pathix::TraceSpec& s, const ObsFlags& flags,
+        std::size_t buffer_pages) {
   using namespace pathix;
   Result<JointExperimentReport> result =
       RunJointOnlineExperiment(s, ControllerOptions{}, buffer_pages);
@@ -548,8 +478,8 @@ int RunJoint(const pathix::TraceSpec& s, const ObsFlags& flags,
   }
   const JointExperimentReport& r = result.value();
 
-  std::cout << "=== Joint online index selection over " << s.paths.size()
-            << " paths ===\n\n";
+  std::printf("=== Online index selection over %zu path%s ===\n\n",
+              s.paths.size(), s.paths.size() == 1 ? "" : "s");
   for (const TracePath& tp : s.paths) {
     std::cout << "  " << tp.id << " : " << tp.path.ToString(s.schema) << "\n";
   }
@@ -562,7 +492,7 @@ int RunJoint(const pathix::TraceSpec& s, const ObsFlags& flags,
   PrintRun(r.oracle);
   for (const JointStaticCandidate& c : r.statics) PrintRun(c.run);
 
-  std::cout << "\njoint oracle per-phase assignments:\n";
+  std::cout << "\noracle per-phase configurations:\n";
   for (std::size_t i = 0; i < r.oracle_configs.size(); ++i) {
     std::cout << "  " << s.phases[i].name << ":\n";
     for (std::size_t p = 0; p < s.paths.size(); ++p) {
@@ -572,7 +502,7 @@ int RunJoint(const pathix::TraceSpec& s, const ObsFlags& flags,
     }
   }
 
-  std::cout << "\nonline joint reconfiguration points (" << r.events.size()
+  std::cout << "\nonline reconfiguration points (" << r.events.size()
             << "):\n";
   for (const JointReconfigurationEvent& ev : r.events) {
     std::cout << "  op " << ev.op_index << ": "
@@ -594,30 +524,34 @@ int RunJoint(const pathix::TraceSpec& s, const ObsFlags& flags,
 
   const int best = r.best_static_joint;
   std::printf(
-      "\ntotal cost, online joint      : %.0f  (%.0f measured + %.0f modeled "
+      "\ntotal cost, online         : %.0f  (%.0f measured + %.0f modeled "
       "transition; %.0f measured transition)\n"
-      "total cost, joint oracle      : %.0f  (per-phase joint optimum, free "
+      "total cost, oracle         : %.0f  (per-phase optimum, free "
       "switches)\n"
-      "total cost, best static joint : %.0f  (%s)\n"
-      "online / best static joint    : %.3f  %s\n"
-      "online / oracle (regret)      : %.3f  %s\n",
+      "total cost, best static    : %.0f  (%s)\n"
+      "online / best static       : %.3f  %s\n"
+      "online / oracle (regret)   : %.3f  %s\n",
       r.online.total_cost(), r.online.measured_pages(),
       r.online.transition_pages(), r.online.measured_transition_pages(),
       r.oracle.total_cost(), r.best_static_joint_cost(),
       best >= 0 ? r.statics[static_cast<std::size_t>(best)].label.c_str()
                 : "n/a",
       r.online_vs_best_static_joint(),
-      r.online_vs_best_static_joint() < 1
-          ? "(adapting beat every budget-feasible fixed choice)"
-          : "(a static choice was at least as good)",
+      r.online_vs_best_static_joint() >= 1
+          ? "(a static choice was at least as good)"
+      : s.has_budget ? "(adapting beat every budget-feasible fixed choice)"
+                     : "(adapting beat every fixed choice)",
       r.online_vs_oracle(),
       r.online_vs_oracle() <= 2 ? "(within the 2x envelope)"
                                 : "(outside the 2x envelope)");
 
-  if (!EmitObservability(s, r, "joint", flags)) return 1;
+  if (!EmitObservability(s, r, flags)) return 1;
   if (s.measure && PrintMeasuredVsModeled(s) != 0) return 1;
 
-  // Cold-model envelope only — see RunSinglePath.
+  // The acceptance envelope is a property of the paper's cold cost model:
+  // a warm pool shrinks every measured total while the modeled transition
+  // charges stay fixed, so buffered (ablation) runs report the ratios
+  // without gating the exit code on them.
   const bool ok =
       buffer_pages > 0 ||
       (r.online_vs_best_static_joint() < 1 && r.online_vs_oracle() <= 2);
@@ -687,10 +621,5 @@ int main(int argc, char** argv) {
                  "vehicle_drift_trace.pix or the multi-path "
                  "vehicle_joint_trace.pix)\n\n";
   }
-  // The joint pipeline is also the only one that enforces a storage
-  // budget, so a budgeted single-path trace routes through it rather than
-  // silently ignoring the directive.
-  return s.paths.size() > 1 || s.has_budget
-             ? RunJoint(s, flags, buffer_pages)
-             : RunSinglePath(s, flags, buffer_pages);
+  return Run(s, flags, buffer_pages);
 }

@@ -2,15 +2,15 @@
 //
 // Feed it a trace spec (src/io/spec_parser.h) and a worker count; the serve
 // driver replays each phase's operation mix from N threads against one
-// SimDatabase while an online reconfiguration controller (single-path or
-// joint, chosen like pathix_online) adapts the index configuration
-// mid-stream — queries keep serving across every epoch swap.
+// SimDatabase while the online reconfiguration controller — under the
+// spec's candidate organizations and storage budget — adapts the index
+// configuration mid-stream: queries keep serving across every epoch swap.
 //
 //   $ ./examples/pathix_serve --threads=8 ../examples/specs/vehicle_joint_trace.pix
 //   $ ./examples/pathix_serve                # embedded demo trace, 1 thread
 //
 // With --threads=1 and --buffer-pages=0 (the defaults) the op sequence is
-// byte-identical to the single-threaded TraceReplayer's (see
+// the deterministic replay pathix_online's online run serves (see
 // serve/serve_driver.h for the determinism contract).
 //
 // --buffer-pages=N serves through a real buffer pool of N frames (CLOCK
@@ -84,12 +84,13 @@ void PrintPhase(const pathix::ServePhaseReport& r) {
               r.phase.reconfigurations);
 }
 
-// The serve loop, generic over the controller flavor (controllers hold
-// mutexes, so each flavor is constructed in place by its wrapper below).
-template <typename Controller>
-int ServeLoop(const pathix::TraceSpec& s, int threads, pathix::SimDatabase& db,
-              pathix::ServeDriver& driver, Controller& controller) {
+int Serve(const pathix::TraceSpec& s, int threads, std::size_t buffer_pages) {
   using namespace pathix;
+  SimDatabase db(s.schema, s.catalog.params());
+  ServeDriver driver(&db, s, ServeOptions{threads});
+  driver.Populate();
+  if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
+  JointReconfigurationController controller(&db, ControllerOptionsFor(s));
   db.SetObserver(&controller);
 
   std::printf("serving %zu path(s) from %d worker thread(s)\n\n",
@@ -152,36 +153,6 @@ int ServeLoop(const pathix::TraceSpec& s, int threads, pathix::SimDatabase& db,
   return ok ? 0 : 1;
 }
 
-pathix::ControllerOptions OptionsFor(const pathix::TraceSpec& s) {
-  pathix::ControllerOptions copts;
-  copts.orgs = s.options.orgs;
-  copts.physical_params = s.catalog.params();
-  return copts;
-}
-
-int ServeSingle(const pathix::TraceSpec& s, int threads,
-                std::size_t buffer_pages) {
-  using namespace pathix;
-  SimDatabase db(s.schema, s.catalog.params());
-  ServeDriver driver(&db, s, ServeOptions{threads});
-  driver.Populate();
-  if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
-  ReconfigurationController controller(&db, s.paths.front().path,
-                                       OptionsFor(s), s.paths.front().id);
-  return ServeLoop(s, threads, db, driver, controller);
-}
-
-int ServeJoint(const pathix::TraceSpec& s, int threads,
-               std::size_t buffer_pages) {
-  using namespace pathix;
-  SimDatabase db(s.schema, s.catalog.params());
-  ServeDriver driver(&db, s, ServeOptions{threads});
-  driver.Populate();
-  if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
-  JointReconfigurationController controller(&db, OptionsFor(s));
-  return ServeLoop(s, threads, db, driver, controller);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,9 +205,5 @@ int main(int argc, char** argv) {
                  "trace .pix file, e.g. examples/specs/"
                  "vehicle_drift_trace.pix)\n\n";
   }
-  // Same routing as pathix_online: multi-path or budgeted traces serve
-  // under the joint controller.
-  return s.paths.size() > 1 || s.has_budget
-             ? ServeJoint(s, threads, buffer_pages)
-             : ServeSingle(s, threads, buffer_pages);
+  return Serve(s, threads, buffer_pages);
 }

@@ -4,7 +4,7 @@
 Runs the binary on a trace spec with every export flag, then checks:
 
   * the binary's own exact metrics cross-check passed (counter deltas ==
-    the replayer's operation tallies; the binary exits 1 otherwise and
+    the serve driver's operation tallies; the binary exits 1 otherwise and
     prints the reconciliation line we also assert on);
   * the Prometheus text parses line by line (TYPE declarations, sanitized
     names, numeric values) and carries the expected metric families;
@@ -18,6 +18,11 @@ Runs the binary on a trace spec with every export flag, then checks:
     schema (workload, search stats, candidates, both hysteresis sides),
     and its install/switch verdict count equals both the metrics-JSON
     event list and pathix_controller_reconfigurations_total;
+  * (for the shipped vehicle_joint_trace.pix) the ledger reproduces the
+    shipped examples/ledgers/vehicle_joint_demo.jsonl field by field,
+    except the meta record's spec path and the phase summaries' wall-clock
+    latency_us tables — the golden of the deterministic one-worker replay
+    every experiment runs on;
   * (when a pathix_serve binary is supplied) the buffer pool's accounting
     is honest: serving the same trace single-threaded with and without
     --buffer-pages, the buffered run's `pager:` line must reconcile
@@ -171,11 +176,9 @@ def check_trace(path):
         if stack:
             fail(f"unclosed spans on tid {tid}: "
                  f"{[e['name'] for e in stack]}")
-    for expected in ("part_build",):
+    for expected in ("part_build", "joint_drift_check"):
         if expected not in names:
             fail(f"expected span {expected!r} missing (got {sorted(names)})")
-    if not names & {"drift_check", "joint_drift_check"}:
-        fail(f"no controller drift-check spans (got {sorted(names)})")
     return names
 
 
@@ -249,6 +252,57 @@ def check_ledger(path, metrics_doc, prom_samples):
         fail(f"ledger commit verdicts {commit_verdicts} != "
              f"pathix_controller_reconfigurations_total {recon}")
     return decisions
+
+
+SHIPPED_LEDGER_SPEC = "vehicle_joint_trace.pix"
+SHIPPED_LEDGER = (Path(__file__).resolve().parent.parent / "examples" /
+                  "ledgers" / "vehicle_joint_demo.jsonl")
+
+
+def json_differences(got, want, where):
+    """Yields every path at which two parsed JSON values differ."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(set(got) | set(want)):
+            if key not in got or key not in want:
+                yield f"{where}.{key}: present on one side only"
+            else:
+                yield from json_differences(got[key], want[key],
+                                            f"{where}.{key}")
+    elif isinstance(got, list) and isinstance(want, list):
+        if len(got) != len(want):
+            yield f"{where}: {len(got)} entries, shipped {len(want)}"
+        else:
+            for i, (g, w) in enumerate(zip(got, want)):
+                yield from json_differences(g, w, f"{where}[{i}]")
+    elif got != want or type(got) is not type(want):
+        yield f"{where}: {got!r}, shipped {want!r}"
+
+
+def check_shipped_ledger(path):
+    """The shipped trace's ledger must reproduce the shipped golden.
+
+    Only wall-clock values may differ (the phase summaries' latency_us
+    tables), plus the meta record's spec path, which names wherever the
+    spec was read from.
+    """
+    got = [json.loads(line) for line in Path(path).read_text().splitlines()]
+    want = [json.loads(line)
+            for line in SHIPPED_LEDGER.read_text().splitlines()]
+    if len(got) != len(want):
+        fail(f"ledger has {len(got)} lines, shipped {SHIPPED_LEDGER.name} "
+             f"has {len(want)}")
+    differences = []
+    for i, (g, w) in enumerate(zip(got, want), 1):
+        skip = {"meta": "spec", "phase_summary": "latency_us"}.get(
+            g.get("type"))
+        if skip is not None:
+            g = {k: v for k, v in g.items() if k != skip}
+            w = {k: v for k, v in w.items() if k != skip}
+        differences.extend(json_differences(g, w, f"line {i}"))
+    if differences:
+        fail(f"ledger differs from shipped {SHIPPED_LEDGER.name} in "
+             f"{len(differences)} field(s): " + "; ".join(differences[:5]))
+    return len(got)
 
 
 PAGER_LINE = re.compile(
@@ -337,6 +391,11 @@ def main():
         doc = check_metrics_json(metrics_json, prom)
         names = check_trace(trace_out)
         decisions = check_ledger(decisions_out, doc, prom)
+        golden_note = ""
+        if Path(spec).name == SHIPPED_LEDGER_SPEC:
+            lines = check_shipped_ledger(decisions_out)
+            golden_note = (f", all {lines} lines match the shipped "
+                           f"{SHIPPED_LEDGER.name}")
     serve_note = ""
     if serve_binary is not None:
         cold, warm = check_buffered_serving(serve_binary, spec)
@@ -344,7 +403,7 @@ def main():
                       f" + {warm['reads']} reads == {cold['reads']} cold"
                       " reads")
     print(f"obs_smoke: ok ({len(prom)} Prometheus series, "
-          f"{decisions} ledgered decisions, "
+          f"{decisions} ledgered decisions{golden_note}, "
           f"span names: {', '.join(sorted(names))}{serve_note})")
 
 

@@ -167,48 +167,6 @@ OptimizeResult SelectBranchAndBound(const CostMatrix& matrix,
   return BranchAndBound(matrix, capture_trace).Run();
 }
 
-std::vector<ScoredConfiguration> TopKConfigurations(const CostMatrix& matrix,
-                                                    int k) {
-  std::vector<ScoredConfiguration> top;
-  if (k <= 0) return top;
-  const int n = matrix.path_length();
-  if (n <= 0) return top;
-  if (n > 16) {
-    // 2^(n-1) is no longer a ledger-capture-sized enumeration; report the
-    // optimum alone rather than stalling a drift check.
-    const OptimizeResult best = SelectDP(matrix);
-    top.push_back(ScoredConfiguration{best.config, best.cost});
-    return top;
-  }
-  // Same mask enumeration as SelectExhaustive, keeping the k cheapest via
-  // insertion into a small sorted vector (k is single digits in practice).
-  const std::uint64_t combos = std::uint64_t{1} << (n - 1);
-  for (std::uint64_t mask = 0; mask < combos; ++mask) {
-    std::vector<Subpath> blocks;
-    blocks.reserve(static_cast<std::size_t>(n));
-    int start = 1;
-    for (int i = 1; i < n; ++i) {
-      if (mask & (std::uint64_t{1} << (i - 1))) {
-        blocks.push_back(Subpath{start, i});
-        start = i + 1;
-      }
-    }
-    blocks.push_back(Subpath{start, n});
-    const double cost = BlocksCost(matrix, blocks);
-    if (top.size() == static_cast<std::size_t>(k) &&
-        cost >= top.back().cost) {
-      continue;
-    }
-    // Strict < keeps the first-enumerated configuration ahead on ties.
-    auto pos = top.begin();
-    while (pos != top.end() && pos->cost <= cost) ++pos;
-    top.insert(pos, ScoredConfiguration{ConfigFromBlocks(matrix, blocks),
-                                        cost});
-    if (top.size() > static_cast<std::size_t>(k)) top.pop_back();
-  }
-  return top;
-}
-
 OptimizeResult SelectDP(const CostMatrix& matrix) {
   const int n = matrix.path_length();
   // best[s] = cheapest cover of levels [s, n]; split[s] = end of its first

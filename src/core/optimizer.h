@@ -60,17 +60,4 @@ OptimizeResult SelectBranchAndBound(const CostMatrix& matrix,
 /// cost as the exhaustive search.
 OptimizeResult SelectDP(const CostMatrix& matrix);
 
-/// One recombination and its cost (TopKConfigurations).
-struct ScoredConfiguration {
-  IndexConfiguration config;
-  double cost = 0;
-};
-
-/// The \p k cheapest recombinations of the path, cheapest first (ties keep
-/// enumeration order, so the list is deterministic). Enumerates all
-/// 2^(n-1) recombinations — the decision ledger's candidate capture, not a
-/// hot path; for n > 16 (or k <= 0) it degrades to just the DP optimum.
-std::vector<ScoredConfiguration> TopKConfigurations(const CostMatrix& matrix,
-                                                    int k);
-
 }  // namespace pathix

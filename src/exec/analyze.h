@@ -27,7 +27,7 @@ Catalog CollectStatistics(const ObjectStore& store, const Schema& schema,
 /// \p *catalog untouched (the reconfiguration controllers call this with
 /// the classes whose live-object count drifted past their threshold, so a
 /// stable class costs no store pass). Returns the number of (class,
-/// attribute) collections performed — the controllers' ANALYZE work
+/// attribute) collections performed — the controller's ANALYZE work
 /// counter. When \p collected is non-null, (class, attribute) pairs already
 /// in it are skipped and newly collected pairs are added — callers
 /// refreshing several overlapping paths scan each shared class once.

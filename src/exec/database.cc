@@ -255,18 +255,6 @@ Status SimDatabase::ReconfigureIndexes(IndexConfiguration config) {
   return ReconfigureIndexes(paths_.begin()->first, std::move(config));
 }
 
-void SimDatabase::SetQueryPath(const Path& path) {
-  for (const auto& [id, cp] : paths_) {
-    (void)cp;
-    PATHIX_DCHECK(id == kDefaultPathId &&
-                  "named paths are registered; use RegisterPath");
-    if (id != kDefaultPathId) return;  // release builds: refuse, not corrupt
-  }
-  const Status status = RegisterPath(kDefaultPathId, path);
-  PATHIX_DCHECK(status.ok());
-  (void)status;
-}
-
 bool SimDatabase::has_indexes() const {
   const ConfiguredPath* sole = SolePath();
   return sole != nullptr && sole->physical.load() != nullptr;

@@ -177,20 +177,15 @@ class SimDatabase {
 
   // ------------------------------------------- single-path convenience API
   //
-  // The degenerate case the paper's offline pipeline and the single-path
-  // online controller run in: exactly one path, registered under
-  // kDefaultPathId. These fail/DCHECK when other named paths exist.
+  // The degenerate case the paper's offline pipeline runs in: exactly one
+  // path, registered under kDefaultPathId. These fail/DCHECK when other
+  // named paths exist.
 
   /// Registers \p path under kDefaultPathId and builds \p config on it.
   Status ConfigureIndexes(const Path& path, IndexConfiguration config);
 
   /// Reconfigures the sole registered path.
   Status ReconfigureIndexes(IndexConfiguration config);
-
-  /// Binds \p path under kDefaultPathId for naive evaluation (and later
-  /// ReconfigureIndexes) without building any indexes — the online
-  /// subsystem's cold start. Drops any installed configuration.
-  void SetQueryPath(const Path& path);
 
   bool has_indexes() const;
   const PhysicalConfiguration& physical() const;

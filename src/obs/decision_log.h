@@ -11,7 +11,7 @@
 /// record, one record per line.
 ///
 /// The decision ledger (online/decision_record.h) is the audit trail of
-/// every index-selection decision the controllers take. Its serialized form
+/// every index-selection decision the controller takes. Its serialized form
 /// is JSON Lines — each record a self-contained JSON object on its own
 /// line — because the ledger is appended to as the run progresses and
 /// consumers (pathix_explain, scripts/obs_smoke.py) stream it line by line

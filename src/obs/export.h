@@ -8,8 +8,8 @@
 ///
 /// Both exporters consume MetricsSnapshot (not a live registry), so the
 /// same code path serves a running process and a snapshot captured earlier
-/// (ExperimentReport keeps the online run's snapshot; pathix_online exports
-/// it after the replays finish).
+/// (JointExperimentReport keeps the online run's snapshot; pathix_online
+/// exports it after the replays finish).
 ///
 /// Naming scheme (see README "Observability"): pathix_<component>_<what>,
 /// with Prometheus conventions — monotone series end in _total, histograms

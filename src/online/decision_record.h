@@ -10,11 +10,11 @@
 #include "workload/load.h"
 
 /// \file decision_record.h
-/// \brief The decision ledger: one structured record per drift check, for
-/// *both* controllers — what the workload looked like, what the solver
-/// searched, which candidates it scored and why they lost, how the
-/// hysteresis inequality evaluated (modeled and measured sides), and the
-/// verdict (install / switch / hold).
+/// \brief The decision ledger: one structured record per drift check of the
+/// online controller (online/joint_controller.h) — what the workload looked
+/// like, what the solver searched, which candidates it scored and why they
+/// lost, how the hysteresis inequality evaluated (modeled and measured
+/// sides), and the verdict (install / switch / hold).
 ///
 /// The paper's contribution is a cost-model-driven *choice*; the ledger is
 /// the audit trail of every such choice the online stack makes. AIM (Meta,
@@ -35,7 +35,7 @@ class Schema;
 /// One (path, class) row of the workload-estimate snapshot, rendered with
 /// names so the ledger is self-contained.
 struct DecisionLoadEntry {
-  std::string path;        ///< path id ("" for the single-path controller)
+  std::string path;        ///< path id
   std::string cls;         ///< class name
   double query = 0;        ///< alpha (normalized decayed frequency)
   double insert = 0;       ///< beta
@@ -54,11 +54,10 @@ struct DecisionCandidate {
   std::string path;        ///< the path this candidate configures
   std::string config;      ///< rendered (IndexConfiguration::ToString)
   /// Workload cost per operation with this candidate in place: the whole
-  /// assignment's shared-aware cost (joint) or the path cost (single).
+  /// assignment's shared-aware cost.
   double cost_per_op = 0;
   double cost_delta = 0;   ///< cost_per_op - the chosen assignment's cost
-  /// Total distinct-index storage with this candidate in place (joint
-  /// controller only; 0 for the single-path controller).
+  /// Total distinct-index storage with this candidate in place.
   double storage_bytes = 0;
   bool violates_budget = false;
   bool chosen = false;     ///< part of the winning assignment
@@ -120,8 +119,8 @@ struct DecisionHysteresis {
 struct DecisionRecord {
   std::uint64_t check_number = 0;  ///< 1-based, per controller
   std::uint64_t op_index = 0;      ///< operations observed at the check
-  std::string controller;          ///< "single" or "joint"
-  std::string phase;               ///< stamped by the replayer; "" otherwise
+  std::string controller;  ///< the controller's label: "joint"
+  std::string phase;  ///< stamped by ServeDriver::RunPhase; "" otherwise
   std::string verdict;             ///< "install", "switch", or "hold"
   /// Hold verdicts only: "no_traffic", "already_optimal", "no_savings",
   /// "hysteresis", or "error".
@@ -129,7 +128,8 @@ struct DecisionRecord {
   std::vector<DecisionLoadEntry> load;  ///< sorted by (path, class id)
   std::vector<DecisionNaivePages> naive_pages;  ///< sorted by path
   DecisionSearchStats search;
-  std::vector<DecisionCandidate> candidates;  ///< chosen first, then top-K
+  /// The chosen per-path entries first, then the single-swap alternatives.
+  std::vector<DecisionCandidate> candidates;
   DecisionHysteresis hysteresis;
 };
 
@@ -146,7 +146,7 @@ void WriteDecisionRecord(obs::DecisionLog* log, const DecisionRecord& rec);
 /// every decision was gated under. Scalars only (no ControllerOptions
 /// dependency) so io/examples code can assemble it from any source.
 struct LedgerMeta {
-  std::string mode;  ///< "single" or "joint"
+  std::string mode;  ///< the controller's label: "joint"
   std::string spec;  ///< spec file path, or a label for embedded traces
   double theta = 0;
   double horizon_ops = 0;

@@ -2,12 +2,11 @@
 
 #include <vector>
 
-#include "online/controller.h"
 #include "online/joint_controller.h"
 
 /// \file event_json.h
-/// \brief Structured-JSON rendering of the controllers' reconfiguration
-/// event logs, via obs::JsonWriter — the machine-readable mirror of the
+/// \brief Structured-JSON rendering of the controller's reconfiguration
+/// event log, via obs::JsonWriter — the machine-readable mirror of the
 /// human-oriented event lines pathix_online prints.
 ///
 /// Each event carries its op index, the configuration change (rendered with
@@ -21,11 +20,7 @@ namespace obs {
 class JsonWriter;
 }  // namespace obs
 
-/// Appends a JSON array of the single-path controller's events to \p w.
-void WriteEventLog(obs::JsonWriter* w,
-                   const std::vector<ReconfigurationEvent>& events);
-
-/// Appends a JSON array of the joint controller's events to \p w; each
+/// Appends a JSON array of the controller's events to \p w; each
 /// event lists its per-path changes.
 void WriteEventLog(obs::JsonWriter* w,
                    const std::vector<JointReconfigurationEvent>& events);

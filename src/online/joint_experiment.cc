@@ -1,25 +1,30 @@
 #include "online/joint_experiment.h"
 
+#include <map>
 #include <set>
 #include <utility>
 
 #include "exec/analyze.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 
 namespace {
 
-/// A freshly populated database with every path registered, ready to
-/// replay the trace. A nonzero \p buffer_pages enables the buffer pool
-/// *after* population, so every replay starts from an identically cold pool.
+/// A freshly populated database with every path registered, served by one
+/// worker — the deterministic replay every run of the experiment shares.
+/// A nonzero \p buffer_pages enables the buffer pool *after* population,
+/// so every replay starts from an identically cold pool.
 struct Instance {
   explicit Instance(const TraceSpec& spec, std::size_t buffer_pages = 0)
-      : db(spec.schema, spec.catalog.params()), replayer(&db, spec) {
-    replayer.Populate();
+      : db(spec.schema, spec.catalog.params()),
+        driver(&db, spec, ServeOptions{1}) {
+    driver.Populate();
     if (buffer_pages > 0) db.pager().EnableBuffer(buffer_pages);
   }
+
   SimDatabase db;
-  TraceReplayer replayer;
+  ServeDriver driver;
 };
 
 /// Statistics exactly as the joint controller's scoped ANALYZE collects
@@ -86,6 +91,60 @@ Status InstallAll(Instance* inst, const TraceSpec& spec,
 
 }  // namespace
 
+LoadDistribution TraceAverageMix(const TraceSpec& spec,
+                                 std::size_t path_index) {
+  // The phase weight normalizes over the *whole* phase mix (every path's
+  // queries plus the updates), so multi-path averages stay on one common
+  // scale.
+  std::map<ClassId, OpLoad> acc;
+  double total_ops = 0;
+  for (const TracePhase& phase : spec.phases) {
+    double phase_total = 0;
+    for (const auto& per_path : phase.queries) {
+      for (const auto& [cls, weight] : per_path) {
+        (void)cls;
+        phase_total += weight;
+      }
+    }
+    for (const auto& [cls, upd] : phase.updates) {
+      (void)cls;
+      phase_total += upd.insert + upd.del;
+    }
+    if (phase_total <= 0) continue;
+    const double ops = static_cast<double>(phase.ops);
+    for (const auto& [cls, l] : phase.mixes[path_index].entries()) {
+      OpLoad& a = acc[cls];
+      a.query += l.query / phase_total * ops;
+      a.insert += l.insert / phase_total * ops;
+      a.del += l.del / phase_total * ops;
+    }
+    total_ops += ops;
+  }
+  LoadDistribution avg;
+  if (total_ops <= 0) return avg;
+  for (const auto& [cls, a] : acc) {
+    avg.Set(cls, a.query / total_ops, a.insert / total_ops,
+            a.del / total_ops);
+  }
+  return avg;
+}
+
+Result<OptimizeResult> OfflineOptimum(const SimDatabase& db, const Path& path,
+                                      const std::vector<IndexOrg>& orgs,
+                                      const LoadDistribution& load,
+                                      const PhysicalParams& physical_params) {
+  // Statistics exactly as the controller's ANALYZE collects them, so the
+  // convergence comparison is apples to apples.
+  PhysicalParams params = physical_params;
+  params.page_size = static_cast<double>(db.pager().page_size());
+  const Catalog catalog =
+      CollectStatistics(db.store(), db.schema(), path, params);
+  Result<PathContext> ctx =
+      PathContext::Build(db.schema(), path, catalog, load);
+  if (!ctx.ok()) return ctx.status();
+  return SelectDP(CostMatrix::Build(ctx.value(), orgs));
+}
+
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages) {
@@ -101,10 +160,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
   }
 
   JointExperimentReport report;
-  ControllerOptions copts = options;
-  copts.orgs = spec.options.orgs;
-  copts.physical_params = spec.catalog.params();
-  copts.storage_budget_bytes = spec.storage_budget_bytes;
+  const ControllerOptions copts = ControllerOptionsFor(spec, options);
 
   // ----------------------------------------------------------- online run
   {
@@ -112,10 +168,11 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
     JointReconfigurationController controller(&inst.db, copts);
     inst.db.SetObserver(&controller);
     report.online_metrics_baseline = inst.db.SnapshotMetrics();
-    report.online.label = "online-joint";
+    report.online.label = "online";
     report.online.phases.reserve(spec.phases.size());
     for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-      report.online.phases.push_back(inst.replayer.RunPhase(i, &controller));
+      report.online.phases.push_back(
+          inst.driver.RunPhase(i, &controller).phase);
       controller.MirrorMetrics();
       report.online_phase_metrics.push_back(inst.db.SnapshotMetrics());
     }
@@ -129,7 +186,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
   // ----------------------------------------------------- joint oracle run
   {
     Instance inst(spec, buffer_pages);
-    report.oracle.label = "oracle-joint";
+    report.oracle.label = "oracle";
     for (std::size_t i = 0; i < spec.phases.size(); ++i) {
       // The replay mutates the store between phases, so the oracle
       // re-collects per phase — just like the online run's scoped ANALYZE.
@@ -139,8 +196,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
       if (!best.ok()) return best.status();
       PATHIX_RETURN_IF_ERROR(InstallAll(&inst, spec, best.value()));
       report.oracle_configs.push_back(best.value());
-      report.oracle.phases.push_back(inst.replayer.RunPhase(
-          i, static_cast<JointReconfigurationController*>(nullptr)));
+      report.oracle.phases.push_back(inst.driver.RunPhase(i).phase);
     }
   }
 
@@ -175,12 +231,12 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
     Result<std::vector<IndexConfiguration>> joint_avg =
         SolveJoint(stats_inst.db, spec, avg, stats_catalog);
     if (!joint_avg.ok()) return joint_avg.status();
-    add_candidate("joint-avg", true, joint_avg.value());
+    add_candidate("avg-mix", true, joint_avg.value());
     for (const TracePhase& phase : spec.phases) {
       Result<std::vector<IndexConfiguration>> joint_phase =
           SolveJoint(stats_inst.db, spec, phase.mixes, stats_catalog);
       if (!joint_phase.ok()) return joint_phase.status();
-      add_candidate("joint-phase-" + phase.name, true, joint_phase.value());
+      add_candidate("phase-" + phase.name, true, joint_phase.value());
     }
 
     // The unbudgeted per-path independent optima on the averaged mixes.
@@ -205,8 +261,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
       PATHIX_RETURN_IF_ERROR(InstallAll(&inst, spec, c.configs));
       c.run.label = "static:" + c.label;
       for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-        c.run.phases.push_back(inst.replayer.RunPhase(
-            i, static_cast<JointReconfigurationController*>(nullptr)));
+        c.run.phases.push_back(inst.driver.RunPhase(i).phase);
       }
       report.statics.push_back(std::move(c));
     }

@@ -1,15 +1,16 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "online/experiment.h"
+#include "core/optimizer.h"
 #include "online/joint_controller.h"
 #include "online/trace.h"
 
 /// \file joint_experiment.h
-/// \brief The multi-path online-selection experiment: replay one multi-path
-/// trace several ways and compare page costs.
+/// \brief The online-selection experiment: replay one trace — one path or
+/// many — several ways and compare page costs.
 ///
 ///  - online: cold database with every path registered, a
 ///    JointReconfigurationController attached — pays measured pages plus
@@ -25,13 +26,47 @@
 ///    merge, since the registry shares identical structures either way) as
 ///    the context baseline.
 ///
-/// All runs replay the identical operation stream (see trace.h), so the
-/// comparison is exact, not sampled. The acceptance envelope compares the
-/// online run against the best *budget-feasible* static (the independent
-/// baseline may exceed the budget and only bounds what unlimited storage
-/// would buy).
+/// For one unbudgeted path the joint statics are the paper's: the offline
+/// optimum of the averaged mix and of each phase's mix (the independent
+/// baseline coincides with the averaged one and is deduplicated).
+///
+/// All runs replay the identical operation stream on one serving worker
+/// (serve/serve_driver.h), so the comparison is exact, not sampled. The
+/// acceptance envelope compares the online run against the best
+/// *budget-feasible* static (the independent baseline may exceed the budget
+/// and only bounds what unlimited storage would buy).
 
 namespace pathix {
+
+/// One replay of the whole trace.
+struct ExperimentRun {
+  std::string label;
+  std::vector<PhaseReport> phases;
+
+  double measured_pages() const {
+    double total = 0;
+    for (const PhaseReport& p : phases) total += static_cast<double>(p.pages);
+    return total;
+  }
+  double transition_pages() const {
+    double total = 0;
+    for (const PhaseReport& p : phases) total += p.transition_pages;
+    return total;
+  }
+  /// Pager-measured transition I/O (actual drops + actual build I/O).
+  double measured_transition_pages() const {
+    double total = 0;
+    for (const PhaseReport& p : phases) total += p.measured_transition_pages;
+    return total;
+  }
+  /// Measured pages plus modeled transition charges.
+  double total_cost() const { return measured_pages() + transition_pages(); }
+  /// Measured pages plus *measured* transition I/O — the model-free total
+  /// the modeled one is validated against.
+  double measured_total_cost() const {
+    return measured_pages() + measured_transition_pages();
+  }
+};
 
 /// A never-reconfigured assignment (one configuration per path) and its
 /// replay.
@@ -86,17 +121,31 @@ struct JointExperimentReport {
   }
 };
 
-/// Replays \p spec's multi-path trace online / joint-oracle / static and
-/// assembles the report. Deterministic for a fixed spec (including its
-/// seed). Works for single-path specs too (the degenerate case), but the
-/// single-path pipeline in experiment.h reports richer per-candidate
-/// statics there.
+/// Replays \p spec's trace online / joint-oracle / static and assembles
+/// the report. Deterministic for a fixed spec (including its seed). The
+/// online controller runs with ControllerOptionsFor(spec, options).
 ///
-/// \p buffer_pages > 0 serves every run through a buffer pool of that
-/// capacity, enabled after Populate() so each replay starts from the same
-/// cold pool (see RunOnlineExperiment).
+/// \p buffer_pages > 0 serves every run (online, oracle, statics) through
+/// a buffer pool of that capacity, enabled after population so each replay
+/// starts from the same cold pool. 0 (the default) keeps the cost model's
+/// cold-buffer assumption: every touch is a charged page access.
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages = 0);
+
+/// The ops-weighted average of the trace's phase mixes for one path — the
+/// load a one-shot offline advisor would be handed if the drift were
+/// averaged away. Multi-path averages share one normalization scale.
+LoadDistribution TraceAverageMix(const TraceSpec& spec,
+                                 std::size_t path_index);
+
+/// The offline optimum (O(n^2) DP on the full cost matrix) for \p load on
+/// statistics collected live from \p db, under \p physical_params (the
+/// page size is always taken from the database's pager). Exposed for tests
+/// comparing the online controller's convergence point against the offline
+/// pick.
+Result<OptimizeResult> OfflineOptimum(
+    const SimDatabase& db, const Path& path, const std::vector<IndexOrg>& orgs,
+    const LoadDistribution& load, const PhysicalParams& physical_params = {});
 
 }  // namespace pathix

@@ -7,8 +7,8 @@
 #include "core/structural_key.h"
 #include "costmodel/subpath_cost.h"
 #include "exec/analyze.h"
-#include "online/experiment.h"
 #include "online/joint_experiment.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 
@@ -32,7 +32,7 @@ class OpCounter : public DbOpObserver {
   std::map<PathId, std::uint64_t> query_ops_;
 };
 
-/// Statistics exactly as the controllers' scoped ANALYZE collects them
+/// Statistics exactly as the controller's scoped ANALYZE collects them
 /// (everything in every path's scope, shared (class, attribute) pairs
 /// scanned once) on the live store.
 Catalog CollectStats(const SimDatabase& db, const TraceSpec& spec) {
@@ -84,8 +84,8 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
   }
 
   SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
 
   // The fixed configuration under replay: the joint optimum of the
   // ops-weighted average mixes (under the spec's budget) — the assignment a
@@ -165,8 +165,7 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
     // The measured side: scoped tallies over the phase's replay.
     db.pager().ResetTallies();
     counter.Reset();
-    const PhaseReport measured = replayer.RunPhase(
-        i, static_cast<JointReconfigurationController*>(nullptr));
+    const PhaseReport measured = driver.RunPhase(i).phase;
 
     const double ops = static_cast<double>(phase.ops);
     MeasuredVsModeledPhase totals;

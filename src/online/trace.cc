@@ -152,51 +152,12 @@ void TraceOpExecutor::DoDelete(ClassId cls, PhaseReport* report) {
   }
 }
 
-TraceReplayer::TraceReplayer(SimDatabase* db, const TraceSpec& spec)
-    : db_(db), spec_(&spec), rng_(spec.seed) {
-  for (const TracePath& tp : spec.paths) {
-    const Status registered = db_->RegisterPath(tp.id, tp.path);
-    PATHIX_DCHECK(registered.ok());
-    (void)registered;
-  }
-}
-
-void TraceReplayer::Populate() {
-  std::vector<ClassGenSpec> specs;
-  specs.reserve(spec_->populate.size());
-  for (const TracePopulate& p : spec_->populate) {
-    specs.push_back(ClassGenSpec{p.cls, p.count, p.distinct_values, p.nin});
-  }
-  std::vector<const Path*> paths;
-  paths.reserve(spec_->paths.size());
-  for (const TracePath& tp : spec_->paths) paths.push_back(&tp.path);
-  PathDataGenerator gen(spec_->seed);
-  live_ = gen.Populate(db_, paths, specs);
-}
-
-PhaseReport TraceReplayer::RunPhaseOps(std::size_t phase_index) {
-  const TracePhase& phase = spec_->phases[phase_index];
-  PhaseReport report;
-  report.name = phase.name;
-  report.ops = phase.ops;
-
-  const std::vector<TraceOpExecutor::MixEntry> entries =
-      TraceOpExecutor::FlattenMix(phase);
-  if (entries.empty()) return report;
-  std::vector<double> weights;
-  weights.reserve(entries.size());
-  for (const TraceOpExecutor::MixEntry& e : entries) {
-    weights.push_back(e.weight);
-  }
-  std::discrete_distribution<std::size_t> pick(weights.begin(), weights.end());
-
-  TraceOpExecutor exec(db_, spec_, &rng_, &live_);
-  const AccessProbe probe(db_->pager());
-  for (std::uint64_t i = 0; i < phase.ops; ++i) {
-    exec.RunOne(entries[pick(rng_)], &report);
-  }
-  report.pages = probe.Delta().total();
-  return report;
+ControllerOptions ControllerOptionsFor(const TraceSpec& spec,
+                                       ControllerOptions options) {
+  options.orgs = spec.options.orgs;
+  options.physical_params = spec.catalog.params();
+  options.storage_budget_bytes = spec.storage_budget_bytes;
+  return options;
 }
 
 }  // namespace pathix

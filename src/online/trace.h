@@ -9,20 +9,19 @@
 #include "datagen/generator.h"
 #include "exec/database.h"
 #include "io/spec_parser.h"
-#include "online/controller.h"
 #include "online/joint_controller.h"
 
 /// \file trace.h
-/// \brief Deterministic replay of a trace spec against a SimDatabase.
+/// \brief Executing a trace spec's operations against a SimDatabase.
 ///
 /// Operations are drawn from the active phase's normalized mix with a
-/// seeded RNG. The stream is a pure function of (seed, phase list, live
-/// object sets); since every run executes the same inserts and deletes,
-/// replaying the same trace under different index configurations sees the
-/// *identical* operation sequence — the property the online-vs-oracle
-/// regret comparison rests on. Multi-path traces direct each query at the
-/// path its mix line names; updates are path-agnostic and maintain every
-/// configured path's indexes.
+/// seeded RNG. On one worker (serve/serve_driver.h) the stream is a pure
+/// function of (seed, phase list, live object sets); since every run
+/// executes the same inserts and deletes, replaying the same trace under
+/// different index configurations sees the *identical* operation sequence
+/// — the property the online-vs-oracle regret comparison rests on.
+/// Multi-path traces direct each query at the path its mix line names;
+/// updates are path-agnostic and maintain every configured path's indexes.
 
 namespace pathix {
 
@@ -47,7 +46,7 @@ struct PhaseReport {
   std::uint64_t insert_ops = 0;
   std::uint64_t delete_ops = 0;
   /// Sampled ops that executed nothing (a delete drawn on an empty pool —
-  /// the replayer's deterministic no-op).
+  /// the executor's deterministic no-op).
   std::uint64_t noop_ops = 0;
 
   /// The decision records the controller captured during this phase, each
@@ -68,17 +67,15 @@ struct PhaseReport {
 };
 
 /// \brief Executes single sampled trace operations against a SimDatabase —
-/// the op-level core shared by the single-threaded TraceReplayer and the
-/// multi-threaded serve driver (serve/serve_driver.h).
+/// the op-level core of the serve driver (serve/serve_driver.h).
 ///
 /// The executor owns no state: it borrows the RNG it draws from and the
-/// live-oid pools it samples/mutates, so a replayer runs one of everything
-/// while the serve driver runs one executor per worker thread (each with
-/// its own RNG stream and pool shard — zero cross-thread coordination in
-/// the op path). Queries go through SimDatabase::QueryAny: the
-/// indexed-or-naive decision and the evaluation happen on one
-/// configuration epoch, so a reconfiguration landing mid-op can't split
-/// them.
+/// live-oid pools it samples/mutates, so the serve driver runs one
+/// executor per worker thread (each with its own RNG stream and pool shard
+/// — zero cross-thread coordination in the op path). Queries go through
+/// SimDatabase::QueryAny: the indexed-or-naive decision and the evaluation
+/// happen on one configuration epoch, so a reconfiguration landing mid-op
+/// can't split them.
 class TraceOpExecutor {
  public:
   /// One (path, class, kind) sampling entry of a flattened phase mix.
@@ -120,88 +117,12 @@ class TraceOpExecutor {
   std::map<ClassId, std::vector<Oid>>* live_;
 };
 
-/// \brief Replays the phases of one trace spec.
-class TraceReplayer {
- public:
-  /// \p db must already hold the spec's schema; the constructor registers
-  /// every spec path under its id and Populate() fills the store. \p spec
-  /// must outlive the replayer.
-  TraceReplayer(SimDatabase* db, const TraceSpec& spec);
-
-  /// Generates the initial population (uncounted) and records the live oid
-  /// pools the operation sampling draws from.
-  void Populate();
-
-  /// Replays phase \p phase_index. If a controller is given, its transition
-  /// charges and reconfiguration count over the phase are captured into the
-  /// report. Queries use the named path's configured indexes when
-  /// installed, a naive scan otherwise (the cold-start price an online
-  /// controller pays before its first install).
-  PhaseReport RunPhase(std::size_t phase_index,
-                       ReconfigurationController* controller) {
-    return RunPhaseWith(phase_index, controller);
-  }
-  PhaseReport RunPhase(std::size_t phase_index,
-                       JointReconfigurationController* controller) {
-    return RunPhaseWith(phase_index, controller);
-  }
-
-  /// Live oids per class (inspection; e.g. final statistics collection).
-  const std::map<ClassId, std::vector<Oid>>& live() const { return live_; }
-
- private:
-  /// The shared replay: runs the phase's ops under the access probe; the
-  /// public overloads wrap it to capture controller charges (both
-  /// controller types expose the same accessors).
-  template <typename Controller>
-  PhaseReport RunPhaseWith(std::size_t phase_index, Controller* controller) {
-    const double charged_before =
-        controller != nullptr ? controller->transition_pages_charged() : 0;
-    const double measured_before =
-        controller != nullptr ? controller->measured_transition_pages_charged()
-                              : 0;
-    // Committed counts, not events().size(): the retained log is bounded
-    // (ControllerOptions::max_event_log) and may evict.
-    const std::uint64_t events_before =
-        controller != nullptr ? controller->events_committed() : 0;
-    const std::uint64_t decisions_before =
-        controller != nullptr ? controller->decisions_committed() : 0;
-    PhaseReport report = RunPhaseOps(phase_index);
-    if (controller != nullptr) {
-      report.transition_pages =
-          controller->transition_pages_charged() - charged_before;
-      report.measured_transition_pages =
-          controller->measured_transition_pages_charged() - measured_before;
-      report.reconfigurations =
-          static_cast<int>(controller->events_committed() - events_before);
-      // The phase's slice of the decision ledger, stamped with the phase
-      // name. What the bounded ledger still retains is the newest suffix;
-      // anything older than its window is counted but not copied.
-      report.decisions_captured =
-          controller->decisions_committed() - decisions_before;
-      const std::vector<DecisionRecord>& ledger = controller->decisions();
-      const std::uint64_t retained_start =
-          controller->decisions_committed() -
-          static_cast<std::uint64_t>(ledger.size());
-      const std::uint64_t slice_start =
-          decisions_before > retained_start ? decisions_before
-                                            : retained_start;
-      for (std::size_t i =
-               static_cast<std::size_t>(slice_start - retained_start);
-           i < ledger.size(); ++i) {
-        report.decisions.push_back(ledger[i]);
-        report.decisions.back().phase = report.name;
-      }
-    }
-    return report;
-  }
-
-  PhaseReport RunPhaseOps(std::size_t phase_index);
-
-  SimDatabase* db_;
-  const TraceSpec* spec_;
-  std::mt19937 rng_;
-  std::map<ClassId, std::vector<Oid>> live_;
-};
+/// The controller options a trace spec implies: \p options with the spec's
+/// candidate organizations, physical parameters and storage budget (the
+/// tuning knobs — cadence, hysteresis, ledger bounds — are kept). Every
+/// runner of a spec (experiments, pathix_serve, the benches) attaches its
+/// controller with these.
+ControllerOptions ControllerOptionsFor(const TraceSpec& spec,
+                                       ControllerOptions options = {});
 
 }  // namespace pathix

@@ -92,15 +92,4 @@ TransitionCost EstimateJointTransitionCost(
   return cost;
 }
 
-TransitionCost EstimateTransitionCost(const PathContext& ctx,
-                                      const ObjectStore& store,
-                                      const PhysicalConfiguration* current,
-                                      const IndexConfiguration& target) {
-  PathTransition pt;
-  pt.ctx = &ctx;
-  pt.current = current;
-  pt.target = &target;
-  return EstimateJointTransitionCost({pt}, store);
-}
-
 }  // namespace pathix

@@ -17,8 +17,8 @@
 /// after (same structural identity — possibly on a *different* path, since
 /// the registry shares structures across paths) are free: the physical
 /// layer genuinely keeps them (SimDatabase::ReconfigureIndexes). The
-/// reconfiguration controllers amortize this price against predicted
-/// steady-state savings over their horizon.
+/// reconfiguration controller amortizes this price against predicted
+/// steady-state savings over its horizon.
 
 namespace pathix {
 
@@ -42,27 +42,19 @@ struct PathTransition {
 /// identity: a physical part is dropped only when *no* target configuration
 /// keeps it, and built (scan + write, once) only when no current
 /// configuration already holds it — shared parts are free across paths, not
-/// just across time. With a single entry this reduces exactly to the
-/// single-path EstimateTransitionCost.
+/// just across time. Dropped parts are priced from their actual physical
+/// size; new parts from the segment pages of the classes they scan plus
+/// the analytic storage estimate of their structures.
 TransitionCost EstimateJointTransitionCost(
     const std::vector<PathTransition>& paths, const ObjectStore& store);
-
-/// Prices the move from \p current (nullptr = nothing installed) to
-/// \p target on the context's path. Dropped parts are priced from their
-/// actual physical size; new parts from the segment pages of the classes
-/// they scan plus the analytic storage estimate of their structures.
-TransitionCost EstimateTransitionCost(const PathContext& ctx,
-                                      const ObjectStore& store,
-                                      const PhysicalConfiguration* current,
-                                      const IndexConfiguration& target);
 
 /// Assembles the *measured* counterpart of a modeled transition price after
 /// the commit happened: dropped parts keep the modeled component (already
 /// priced from their actual physical pages), scan/write come from the
 /// pager-measured build I/O of the parts the registry actually built during
 /// the commit (PhysicalPartRegistry::cumulative_build_io delta). The
-/// controllers gate on the estimate — the build has not happened yet when
-/// the decision is made — and record this next to it so every switch is a
+/// controller gates on the estimate — the build has not happened yet when
+/// the decision is made — and records this next to it so every switch is a
 /// modeled-vs-measured data point.
 inline TransitionCost MeasuredTransitionCost(const TransitionCost& modeled,
                                              const AccessStats& build_io) {

@@ -57,9 +57,9 @@ class WorkloadMonitor {
     Observe({kind, cls, {}, false, {}});
   }
 
-  /// The all-paths estimate, normalized so all frequencies sum to 1 — the
-  /// single-path controller's view (every query, whatever path it names,
-  /// plus every update). Empty (all-zero) until the first observation.
+  /// The all-paths estimate, normalized so all frequencies sum to 1 (every
+  /// query, whatever path it names, plus every update). Empty (all-zero)
+  /// until the first observation.
   LoadDistribution EstimatedLoad() const EXCLUDES(mu_);
 
   /// The estimate for one path of a workload: that path's query
@@ -76,7 +76,7 @@ class WorkloadMonitor {
   /// until a naive query on the path has been observed.
   double MeasuredNaiveQueryPagesPerOp(const PathId& path) const EXCLUDES(mu_);
 
-  /// The all-paths aggregate (the single-path controller's view).
+  /// The all-paths aggregate.
   double MeasuredNaiveQueryPagesPerOp() const EXCLUDES(mu_);
 
   /// Decayed total weight across all paths, classes and kinds.

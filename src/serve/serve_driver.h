@@ -19,15 +19,17 @@
 /// and at phase boundaries, where per-thread tallies fold into the merged
 /// report and the MetricsRegistry.
 ///
-/// Determinism contract. Worker 0's RNG is seeded exactly like the
-/// single-threaded TraceReplayer's (mt19937(spec.seed), advanced across
-/// phases); worker t > 0 derives its stream from (seed, t). Pool shards
-/// are striped round-robin from the same deterministic population. With
-/// --threads=1 the driver therefore executes the replayer's *byte-identical*
-/// op sequence — same event log, same decision ledger, same tallies
-/// (tests/online/replay_determinism_test.cc pins this). With N > 1 each
-/// worker's op sequence is deterministic; the interleaving between workers
-/// is scheduling-dependent, which is the point — it exercises the engine's
+/// Determinism contract. Worker 0's RNG is mt19937(spec.seed), advanced
+/// across phases; worker t > 0 derives its stream from (seed, t). Pool
+/// shards are striped round-robin from the same deterministic population.
+/// With one worker the op sequence is therefore a pure function of the
+/// spec, run on the calling thread: the same event log, decision ledger
+/// and tallies on every run (tests/online/replay_determinism_test.cc pins
+/// the bytes, scripts/obs_smoke.py the shipped ledger). That is the
+/// single-threaded replay every experiment runs on (joint_experiment.h,
+/// measured_validation.h). With N > 1 each worker's op sequence is
+/// deterministic; the interleaving between workers is
+/// scheduling-dependent, which is the point — it exercises the engine's
 /// concurrency under a reproducible per-thread workload.
 ///
 /// Reconfiguration under load. A controller attached to the database runs
@@ -40,14 +42,13 @@ namespace pathix {
 
 /// Knobs of one serving run.
 struct ServeOptions {
-  int threads = 1;  ///< worker count (1 = the replayer's exact sequence)
+  int threads = 1;  ///< worker count (1 = the deterministic replay)
 };
 
 /// Measured outcome of one concurrently-served phase.
 struct ServePhaseReport {
   /// The merged phase tallies (ops, pages, per-kind/per-path executed-op
-  /// counts, controller charges and decision slice) — same semantics as
-  /// the single-threaded replayer's report.
+  /// counts, controller charges and decision slice).
   PhaseReport phase;
   int threads = 1;
   double wall_seconds = 0;
@@ -68,26 +69,19 @@ class ServeDriver {
   /// every spec path under its id. \p spec must outlive the driver.
   ServeDriver(SimDatabase* db, const TraceSpec& spec, ServeOptions options);
 
-  /// Generates the initial population (uncounted, deterministic — same
-  /// data as TraceReplayer::Populate) and stripes the live oid pools
-  /// round-robin across the worker shards.
+  /// Generates the initial population (uncounted, deterministic) and
+  /// stripes the live oid pools round-robin across the worker shards.
   void Populate();
 
-  /// Serves phase \p phase_index from options.threads workers. With a
-  /// controller, its transition charges, reconfiguration count and
-  /// decision-ledger slice over the phase are captured into the report —
-  /// identical bookkeeping to TraceReplayer::RunPhase.
-  ServePhaseReport RunPhase(std::size_t phase_index) {
-    return RunPhaseWith<ReconfigurationController>(phase_index, nullptr);
-  }
+  /// Serves phase \p phase_index from options.threads workers. Queries use
+  /// the named path's configured indexes when installed, a naive scan
+  /// otherwise (the cold-start price an online controller pays before its
+  /// first install). With a \p controller (the database's attached
+  /// observer), its transition charges, reconfiguration count and
+  /// decision-ledger slice over the phase are captured into the report.
   ServePhaseReport RunPhase(std::size_t phase_index,
-                            ReconfigurationController* controller) {
-    return RunPhaseWith(phase_index, controller);
-  }
-  ServePhaseReport RunPhase(std::size_t phase_index,
-                            JointReconfigurationController* controller) {
-    return RunPhaseWith(phase_index, controller);
-  }
+                            JointReconfigurationController* controller =
+                                nullptr);
 
   int threads() const { return threads_; }
 
@@ -101,56 +95,14 @@ class ServeDriver {
   std::map<ClassId, std::vector<Oid>> LiveMerged() const;
 
  private:
-  /// The controller-charge capture of TraceReplayer::RunPhaseWith, around
-  /// the concurrent phase run.
-  template <typename Controller>
-  ServePhaseReport RunPhaseWith(std::size_t phase_index,
-                                Controller* controller) {
-    const double charged_before =
-        controller != nullptr ? controller->transition_pages_charged() : 0;
-    const double measured_before =
-        controller != nullptr ? controller->measured_transition_pages_charged()
-                              : 0;
-    const std::uint64_t events_before =
-        controller != nullptr ? controller->events_committed() : 0;
-    const std::uint64_t decisions_before =
-        controller != nullptr ? controller->decisions_committed() : 0;
-    ServePhaseReport out = RunPhaseOps(phase_index);
-    PhaseReport& report = out.phase;
-    if (controller != nullptr) {
-      report.transition_pages =
-          controller->transition_pages_charged() - charged_before;
-      report.measured_transition_pages =
-          controller->measured_transition_pages_charged() - measured_before;
-      report.reconfigurations =
-          static_cast<int>(controller->events_committed() - events_before);
-      report.decisions_captured =
-          controller->decisions_committed() - decisions_before;
-      const std::vector<DecisionRecord>& ledger = controller->decisions();
-      const std::uint64_t retained_start =
-          controller->decisions_committed() -
-          static_cast<std::uint64_t>(ledger.size());
-      const std::uint64_t slice_start =
-          decisions_before > retained_start ? decisions_before
-                                            : retained_start;
-      for (std::size_t i =
-               static_cast<std::size_t>(slice_start - retained_start);
-           i < ledger.size(); ++i) {
-        report.decisions.push_back(ledger[i]);
-        report.decisions.back().phase = report.name;
-      }
-    }
-    return out;
-  }
-
   /// The concurrent run itself: spawn, stripe, merge, flush metrics.
   ServePhaseReport RunPhaseOps(std::size_t phase_index);
 
   SimDatabase* db_;
   const TraceSpec* spec_;
   int threads_;
-  /// Worker RNG streams, persistent across phases (worker 0's is the
-  /// replayer's stream).
+  /// Worker RNG streams, persistent across phases (worker 0's is
+  /// mt19937(spec.seed)).
   std::vector<std::mt19937> rngs_;
   /// Worker live-oid pool shards: each live oid is in exactly one shard,
   /// so two workers never race to delete the same object by construction

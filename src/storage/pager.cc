@@ -29,61 +29,38 @@ void Pager::EnableBuffer(std::size_t capacity_pages) {
     // become real page writes now.
     AccessStats d;
     d.writes = writebacks;
-    Charge(d);
+    Book(internal::FrameFor(this), d);
   }
 }
 
-void Pager::Charge(const AccessStats& d) {
-  if (AccessFrame* f = internal::FrameFor(this)) {
-    AccessFrame* sink = f->exclude ? f : f->redirect;
-    if (sink != nullptr) {
-      sink->local += d;
-      return;
-    }
-    f->local += d;
-    f->deferred += d;
-    return;
-  }
+void Pager::BookUnframed(AccessStats d) {
   MutexLock lock(&mu_);
   stats_ += d;
 }
 
-bool Pager::BufferedRead(PageId page, AccessFrame* f, bool pin) {
-  const BufferTouchResult r = pool_.TouchRead(page, pin);
+PageGuard Pager::BufferedTouch(PageId page, PageIo io, bool pin,
+                               AccessFrame* f) {
   AccessStats d;
-  if (r.hit) {
-    d.buffer_hits = 1;
-  } else {
-    d.reads = 1;  // miss (admitted or bypassed): a real page fetch
-  }
-  d.writes = r.writebacks;
-  if (f != nullptr) {
-    f->local += d;
-    f->deferred += d;
-  } else {
-    MutexLock lock(&mu_);
-    stats_ += d;
-  }
-  return r.admitted;
-}
-
-bool Pager::BufferedWrite(PageId page, AccessFrame* f, bool pin) {
-  const BufferTouchResult r = pool_.TouchWrite(page, pin);
-  AccessStats d;
-  // Write-back: an admitted write only dirties the frame — its charge
-  // lands when the frame is written back. A bypassed write (zero-capacity
-  // shard, or every frame pinned) is charged through immediately.
-  d.writes = (r.admitted ? 0 : 1) + r.writebacks;
-  if (d.writes != 0) {
-    if (f != nullptr) {
-      f->local.writes += d.writes;
-      f->deferred.writes += d.writes;
+  bool admitted = false;
+  if (io == PageIo::kRead) {
+    const BufferTouchResult r = pool_.TouchRead(page, pin);
+    admitted = r.admitted;
+    if (r.hit) {
+      d.buffer_hits = 1;
     } else {
-      MutexLock lock(&mu_);
-      stats_.writes += d.writes;
+      d.reads = 1;  // miss (admitted or bypassed): a real page fetch
     }
+    d.writes = r.writebacks;
+  } else {
+    const BufferTouchResult r = pool_.TouchWrite(page, pin);
+    admitted = r.admitted;
+    // Write-back: an admitted write only dirties the frame — its charge
+    // lands when the frame is written back. A bypassed write (zero-capacity
+    // shard, or every frame pinned) is charged through immediately.
+    d.writes = (r.admitted ? 0 : 1) + r.writebacks;
   }
-  return r.admitted;
+  if (d.logical_total() != 0) Book(f, d);
+  return admitted && pin ? PageGuard(this, page) : PageGuard();
 }
 
 void Pager::UnpinPage(PageId page) {
@@ -91,7 +68,7 @@ void Pager::UnpinPage(PageId page) {
   if (writebacks == 0) return;
   AccessStats d;
   d.writes = writebacks;
-  Charge(d);
+  Book(internal::FrameFor(this), d);
 }
 
 void Pager::ResetTallies() {

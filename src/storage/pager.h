@@ -203,143 +203,43 @@ class Pager {
   /// the pool (shrink, or disable's flush) are charged as page writes.
   void EnableBuffer(std::size_t capacity_pages) EXCLUDES(mu_);
 
-  // Note* route each page touch to the calling thread's innermost open
-  // frame when one exists: excluded scopes absorb the touch (measured, not
-  // charged, buffer bypassed), counting scopes accumulate it lock-free and
-  // defer the global-stats fold to frame close. With the buffer pool on,
-  // the touch goes through the pool's sharded latches first and the
-  // resulting charge (hit, read, or write-backs) is deferred the same way
-  // — mu_ is never taken per touch on a framed path. Unframed touches
-  // (the concurrent smoke tests, ad-hoc tooling) take the locked path
-  // directly, so the global stats stay exact without any frame protocol.
+  // Note*/Pin* route each page touch through Touch (below): to the calling
+  // thread's innermost open frame when one exists — excluded scopes absorb
+  // the touch (measured, not charged, buffer bypassed), counting scopes
+  // accumulate it lock-free and defer the global-stats fold to frame
+  // close. With the buffer pool on, a single-page touch goes through the
+  // pool's sharded latches first and the resulting charge (hit, read, or
+  // write-backs) is deferred the same way — mu_ is never taken per touch
+  // on a framed path. Unframed touches (the concurrent smoke tests, ad-hoc
+  // tooling) take the locked path directly, so the global stats stay
+  // exact without any frame protocol.
 
   void NoteRead(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {  // excluded scope: measured, not charged
-        ++sink->local.reads;
-        return;
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.reads;
-        ++f->deferred.reads;
-        return;
-      }
-      BufferedRead(page, f);
-      return;
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      BufferedRead(page, nullptr);
-      return;
-    }
-    MutexLock lock(&mu_);
-    ++stats_.reads;
+    Touch(page, PageIo::kRead, /*pin=*/false, 1);
   }
   void NoteWrite(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        ++sink->local.writes;
-        return;
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.writes;
-        ++f->deferred.writes;
-        return;
-      }
-      BufferedWrite(page, f);
-      return;
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      BufferedWrite(page, nullptr);
-      return;
-    }
-    MutexLock lock(&mu_);
-    ++stats_.writes;
+    Touch(page, PageIo::kWrite, /*pin=*/false, 1);
   }
 
   /// As NoteRead, additionally pinning the page's frame for the returned
   /// guard's lifetime (empty guard when nothing was admitted — pool off,
   /// excluded scope, or every frame pinned).
   PageGuard PinRead(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        ++sink->local.reads;
-        return PageGuard();
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.reads;
-        ++f->deferred.reads;
-        return PageGuard();
-      }
-      return BufferedRead(page, f, /*pin=*/true) ? PageGuard(this, page)
-                                                 : PageGuard();
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      return BufferedRead(page, nullptr, /*pin=*/true) ? PageGuard(this, page)
-                                                       : PageGuard();
-    }
-    MutexLock lock(&mu_);
-    ++stats_.reads;
-    return PageGuard();
+    return Touch(page, PageIo::kRead, /*pin=*/true, 1);
   }
   /// As NoteWrite, with the PinRead pin contract.
   PageGuard PinWrite(PageId page) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        ++sink->local.writes;
-        return PageGuard();
-      }
-      if (!buffered_.load(std::memory_order_relaxed)) {
-        ++f->local.writes;
-        ++f->deferred.writes;
-        return PageGuard();
-      }
-      return BufferedWrite(page, f, /*pin=*/true) ? PageGuard(this, page)
-                                                  : PageGuard();
-    }
-    if (buffered_.load(std::memory_order_relaxed)) {
-      return BufferedWrite(page, nullptr, /*pin=*/true)
-                 ? PageGuard(this, page)
-                 : PageGuard();
-    }
-    MutexLock lock(&mu_);
-    ++stats_.writes;
-    return PageGuard();
+    return Touch(page, PageIo::kWrite, /*pin=*/true, 1);
   }
 
   /// Convenience for counting n sequential page reads (scans / chains).
   /// Bulk traffic always bypasses the buffer pool.
   void NoteReads(std::uint64_t n) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        sink->local.reads += n;
-        return;
-      }
-      f->local.reads += n;
-      f->deferred.reads += n;
-      return;
-    }
-    MutexLock lock(&mu_);
-    stats_.reads += n;
+    Touch(kInvalidPage, PageIo::kRead, /*pin=*/false, n);
   }
   /// Convenience for counting n sequential page writes (bulk write-out).
   void NoteWrites(std::uint64_t n) EXCLUDES(mu_) {
-    if (AccessFrame* f = internal::FrameFor(this)) {
-      AccessFrame* sink = f->exclude ? f : f->redirect;
-      if (sink != nullptr) {
-        sink->local.writes += n;
-        return;
-      }
-      f->local.writes += n;
-      f->deferred.writes += n;
-      return;
-    }
-    MutexLock lock(&mu_);
-    stats_.writes += n;
+    Touch(kInvalidPage, PageIo::kWrite, /*pin=*/false, n);
   }
 
   /// Snapshot of the global counters (consistent across the three fields).
@@ -390,21 +290,56 @@ class Pager {
   friend class ScopedAccessProbe;
   friend class PageGuard;
 
-  /// Buffered touch + charge: routes \p page through the pool (its sharded
-  /// latches only — never mu_ on a framed path) and books the outcome
-  /// (hit / read / write-backs) on frame \p f, or on the global stats when
-  /// \p f is null. Returns true when the page is resident-and-pinned
-  /// (\p pin) after the touch. Out of line: the unbuffered fast path above
-  /// stays small enough to inline.
-  bool BufferedRead(PageId page, AccessFrame* f, bool pin = false)
-      EXCLUDES(mu_);
-  bool BufferedWrite(PageId page, AccessFrame* f, bool pin = false)
-      EXCLUDES(mu_);
+  enum class PageIo { kRead, kWrite };
 
-  /// Books \p d wherever the calling thread's accounting currently lands:
-  /// the enclosing excluded frame, the open counting frame (deferred), or
-  /// the global stats.
-  void Charge(const AccessStats& d) EXCLUDES(mu_);
+  /// The one routing routine behind the six Note*/Pin* entry points: a
+  /// single-page touch (\p page valid, \p n == 1) outside any excluded
+  /// scope goes through the pool when it is on; everything else — excluded
+  /// scopes, the cold default, and anonymous bulk touches of \p n pages
+  /// (\p page == kInvalidPage), which always bypass the pool — is booked
+  /// directly. Returns a pinned guard only for an admitted \p pin touch.
+  /// Small enough to inline into every entry point: the pool and the
+  /// unframed lock live out of line.
+  PageGuard Touch(PageId page, PageIo io, bool pin, std::uint64_t n)
+      EXCLUDES(mu_) {
+    const bool pooled =
+        page != kInvalidPage && buffered_.load(std::memory_order_relaxed);
+    AccessFrame* f = internal::FrameFor(this);
+    if (pooled && (f == nullptr || !(f->exclude || f->redirect != nullptr))) {
+      return BufferedTouch(page, io, pin, f);
+    }
+    AccessStats d;
+    (io == PageIo::kRead ? d.reads : d.writes) = n;
+    Book(f, d);
+    return PageGuard();
+  }
+
+  /// Books the charge \p d where the calling thread's accounting lands,
+  /// given its innermost open frame \p f of this pager (nullptr when
+  /// none): the enclosing excluded frame (measured, not charged), the open
+  /// counting frame (deferred to its close), or the global stats.
+  void Book(AccessFrame* f, AccessStats d) EXCLUDES(mu_) {
+    if (f == nullptr) {
+      BookUnframed(d);
+      return;
+    }
+    if (AccessFrame* sink = f->exclude ? f : f->redirect) {
+      sink->local += d;
+      return;
+    }
+    f->local += d;
+    f->deferred += d;
+  }
+
+  /// Book's unframed case: the global stats, under mu_.
+  void BookUnframed(AccessStats d) EXCLUDES(mu_);
+
+  /// Buffered touch: routes \p page through the pool (its sharded latches
+  /// only — never mu_ on a framed path) and books the outcome (hit / read
+  /// / write-backs) on frame \p f, or on the global stats when \p f is
+  /// null. The guard is pinned when \p pin and the page was admitted.
+  PageGuard BufferedTouch(PageId page, PageIo io, bool pin, AccessFrame* f)
+      EXCLUDES(mu_);
 
   /// PageGuard's unpin hook; charges any write-back the unpin triggered.
   void UnpinPage(PageId page) EXCLUDES(mu_);

@@ -68,7 +68,7 @@ TEST(BuildCostPropertyTest, MeasuredBuildIoTracksTheAnalyticEstimate) {
                            LoadDistribution{})
             .value();
     const TransitionCost analytic =
-        EstimateTransitionCost(ctx, db.store(), nullptr, config);
+        EstimateJointTransitionCost({{&ctx, nullptr, &config}}, db.store());
 
     CheckOk(db.ConfigureIndexes(setup.path, config));
     const AccessStats measured = db.registry().cumulative_build_io();

@@ -1,11 +1,12 @@
-// ReconfigurationController + transition cost + physical part reuse.
+// The online controller on one path + transition cost + physical part
+// reuse.
 
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
 #include "exec/analyze.h"
-#include "online/controller.h"
+#include "online/joint_controller.h"
 #include "online/transition_cost.h"
 
 namespace pathix {
@@ -46,22 +47,22 @@ TEST(TransitionCostTest, UnchangedPartsAreFree) {
   CheckOk(inst.db.ConfigureIndexes(inst.setup.path, config));
   const PathContext ctx = inst.Context(LoadDistribution{});
 
-  const TransitionCost same = EstimateTransitionCost(
-      ctx, inst.db.store(), &inst.db.physical(), config);
+  const TransitionCost same = EstimateJointTransitionCost(
+      {{&ctx, &inst.db.physical(), &config}}, inst.db.store());
   EXPECT_DOUBLE_EQ(same.total(), 0.0);
 
   // Changing only the tail drops/builds the tail part; the [1,3] NIX stays
   // free even though it is by far the biggest structure.
   const IndexConfiguration retail(
       {{Subpath{1, 3}, IndexOrg::kNIX}, {Subpath{4, 4}, IndexOrg::kMIX}});
-  const TransitionCost tail = EstimateTransitionCost(
-      ctx, inst.db.store(), &inst.db.physical(), retail);
+  const TransitionCost tail = EstimateJointTransitionCost(
+      {{&ctx, &inst.db.physical(), &retail}}, inst.db.store());
   EXPECT_GT(tail.total(), 0.0);
 
   const IndexConfiguration reorg(
       {{Subpath{1, 4}, IndexOrg::kNIX}});
-  const TransitionCost full = EstimateTransitionCost(
-      ctx, inst.db.store(), &inst.db.physical(), reorg);
+  const TransitionCost full = EstimateJointTransitionCost(
+      {{&ctx, &inst.db.physical(), &reorg}}, inst.db.store());
   EXPECT_GT(full.drop_pages, tail.drop_pages);
   EXPECT_GT(full.scan_pages, tail.scan_pages);
 }
@@ -72,14 +73,14 @@ TEST(TransitionCostTest, NonePartsBuildForFree) {
   Instance inst;
   const PathContext ctx = inst.Context(LoadDistribution{});
   const IndexConfiguration all_none({{Subpath{1, 4}, IndexOrg::kNone}});
-  const TransitionCost from_scratch =
-      EstimateTransitionCost(ctx, inst.db.store(), nullptr, all_none);
+  const TransitionCost from_scratch = EstimateJointTransitionCost(
+      {{&ctx, nullptr, &all_none}}, inst.db.store());
   EXPECT_DOUBLE_EQ(from_scratch.total(), 0.0);
 
   CheckOk(inst.db.ConfigureIndexes(
       inst.setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMX}})));
-  const TransitionCost drop_to_none = EstimateTransitionCost(
-      ctx, inst.db.store(), &inst.db.physical(), all_none);
+  const TransitionCost drop_to_none = EstimateJointTransitionCost(
+      {{&ctx, &inst.db.physical(), &all_none}}, inst.db.store());
   EXPECT_GT(drop_to_none.drop_pages, 0.0);  // the MX pages are freed ...
   EXPECT_DOUBLE_EQ(drop_to_none.scan_pages, 0.0);  // ... nothing is built
   EXPECT_DOUBLE_EQ(drop_to_none.write_pages, 0.0);
@@ -89,8 +90,8 @@ TEST(TransitionCostTest, FromScratchPricesEveryPart) {
   Instance inst;
   const PathContext ctx = inst.Context(LoadDistribution{});
   const IndexConfiguration config({{Subpath{1, 4}, IndexOrg::kNIX}});
-  const TransitionCost cost =
-      EstimateTransitionCost(ctx, inst.db.store(), nullptr, config);
+  const TransitionCost cost = EstimateJointTransitionCost(
+      {{&ctx, nullptr, &config}}, inst.db.store());
   EXPECT_DOUBLE_EQ(cost.drop_pages, 0.0);
   EXPECT_GT(cost.scan_pages, 0.0);
   EXPECT_GT(cost.write_pages, 0.0);
@@ -132,11 +133,11 @@ TEST(ReconfigureIndexesTest, RequiresAConfiguredPath) {
 
 TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
   Instance inst;
-  inst.db.SetQueryPath(inst.setup.path);
+  CheckOk(inst.db.RegisterPath(kDefaultPathId, inst.setup.path));
   ControllerOptions options;
   options.warmup_ops = 50;
   options.check_interval_ops = 50;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
 
   for (int i = 0; i < 50; ++i) {
@@ -157,10 +158,10 @@ TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
 
 TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   // The installed configuration uses an organization outside the
-  // controller's candidate set ({MX, MIX, NIX} by default); the selector
-  // must price it from the model — not a wrong matrix column — and the
-  // controller must then switch away under a query-heavy stream, for which
-  // "no index" is by far the worst choice.
+  // controller's candidate set ({MX, MIX, NIX} by default); the controller
+  // must price it from the model — it has no candidate-pool entry — and
+  // then switch away under a query-heavy stream, for which "no index" is by
+  // far the worst choice.
   Instance inst;
   CheckOk(inst.db.ConfigureIndexes(
       inst.setup.path,
@@ -168,7 +169,7 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   ControllerOptions options;
   options.warmup_ops = 50;
   options.check_interval_ops = 50;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   for (int i = 0; i < 300; ++i) {
     CheckOk(inst.db.Query(Key::FromString(EndingValue(i % kDistinct)),
@@ -188,8 +189,8 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
 
 TEST(ControllerTest, ScopedAnalyzeRecollectsOnlyDriftedClasses) {
   Instance inst;
-  inst.db.SetQueryPath(inst.setup.path);
-  ReconfigurationController controller(&inst.db, inst.setup.path);
+  CheckOk(inst.db.RegisterPath(kDefaultPathId, inst.setup.path));
+  JointReconfigurationController controller(&inst.db);
 
   // First check: the initial collection covers all six scope classes
   // (Person, Vehicle, Bus, Truck, Company, Division).
@@ -220,7 +221,7 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
   // one must never switch after its initial install.
   for (const bool reluctant : {false, true}) {
     Instance inst;
-    inst.db.SetQueryPath(inst.setup.path);
+    CheckOk(inst.db.RegisterPath(kDefaultPathId, inst.setup.path));
     ControllerOptions options;
     options.warmup_ops = 50;
     options.check_interval_ops = 50;
@@ -228,7 +229,7 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
     if (reluctant) {
       options.hysteresis = 1e18;  // nothing can ever pay for itself
     }
-    ReconfigurationController controller(&inst.db, inst.setup.path, options);
+    JointReconfigurationController controller(&inst.db, options);
     inst.db.SetObserver(&controller);
 
     for (int i = 0; i < 400; ++i) {
@@ -244,7 +245,7 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
 
     CheckOk(controller.status());
     std::size_t switches = 0;
-    for (const ReconfigurationEvent& ev : controller.events()) {
+    for (const JointReconfigurationEvent& ev : controller.events()) {
       if (!ev.initial) ++switches;
     }
     if (reluctant) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "online/experiment.h"
+#include "online/joint_experiment.h"
 
 namespace pathix {
 namespace {
@@ -17,10 +17,10 @@ TEST(DriftTraceTest, OnlineBeatsBestStaticAndTracksTheOracle) {
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   ASSERT_EQ(spec.value().phases.size(), 3u);
 
-  Result<ExperimentReport> result =
-      RunOnlineExperiment(spec.value(), ControllerOptions{});
+  Result<JointExperimentReport> result =
+      RunJointOnlineExperiment(spec.value(), ControllerOptions{});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  const ExperimentReport& r = result.value();
+  const JointExperimentReport& r = result.value();
 
   // The drift is real: the oracle changes its configuration across phases,
   // and the online controller actually reconfigured (beyond the initial
@@ -28,15 +28,15 @@ TEST(DriftTraceTest, OnlineBeatsBestStaticAndTracksTheOracle) {
   ASSERT_EQ(r.oracle_configs.size(), 3u);
   EXPECT_FALSE(r.oracle_configs[0] == r.oracle_configs[1]);
   std::size_t switches = 0;
-  for (const ReconfigurationEvent& ev : r.events) {
+  for (const JointReconfigurationEvent& ev : r.events) {
     if (!ev.initial) ++switches;
   }
   EXPECT_GE(switches, 1u);
 
   // Acceptance: beat every static choice, stay within 2x of clairvoyance.
-  ASSERT_GE(r.best_static, 0);
+  ASSERT_GE(r.best_static_joint, 0);
   ASSERT_GE(r.statics.size(), 2u);  // avg-mix plus distinct phase optima
-  EXPECT_LT(r.online.total_cost(), r.best_static_cost());
+  EXPECT_LT(r.online.total_cost(), r.best_static_joint_cost());
   EXPECT_LE(r.online_vs_oracle(), 2.0);
 
   // Transition charges are included in the online total and are not free.
@@ -47,7 +47,7 @@ TEST(DriftTraceTest, OnlineBeatsBestStaticAndTracksTheOracle) {
 
   // The oracle is a genuine lower envelope per phase construction: no
   // static candidate (same candidate set, free install) beats it.
-  for (const StaticCandidate& c : r.statics) {
+  for (const JointStaticCandidate& c : r.statics) {
     EXPECT_GE(c.run.total_cost(), r.oracle.total_cost() * 0.999);
   }
 }

@@ -1,19 +1,19 @@
-// Satellite regression: the first install on an unconfigured path is gated
-// by the *priced* status quo — the measured naive-scan pages per operation —
-// instead of firing unconditionally on the first drift check (the PR 4
-// follow-up this PR closes). Both controllers must gate identically.
+// Regression: the first install on an unconfigured path is gated by the
+// *priced* status quo — the measured naive-scan pages per operation —
+// instead of firing unconditionally on the first drift check.
 
 #include <gtest/gtest.h>
 
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
-#include "online/controller.h"
 #include "online/joint_controller.h"
 
 namespace pathix {
 namespace {
 
 constexpr int kDistinct = 40;
+/// The one registered path's id (a named path, not kDefaultPathId).
+constexpr char kPath[] = "people";
 
 struct Instance {
   Instance() : setup(MakeExample51Setup()), db(setup.schema, PhysicalParams{}) {
@@ -27,11 +27,12 @@ struct Instance {
                      {setup.truck, 150, 0, 2.0},
                      {setup.person, 4000, 0, 1.0},
                  });
+    CheckOk(db.RegisterPath(kPath, setup.path));
   }
 
   void RunNaiveQueries(int n) {
     for (int i = 0; i < n; ++i) {
-      CheckOk(db.QueryNaive(Key::FromString(EndingValue(i % kDistinct)),
+      CheckOk(db.QueryNaive(kPath, Key::FromString(EndingValue(i % kDistinct)),
                             setup.person)
                   .status());
     }
@@ -53,10 +54,9 @@ TEST(FirstInstallGatingTest, ReluctantControllerNeverInstalls) {
   // infinitely-reluctant controller still installed on its first check; now
   // the measured naive cost cannot pay for the build and nothing happens.
   Instance inst;
-  inst.db.SetQueryPath(inst.setup.path);
   ControllerOptions options = FastOptions();
   options.hysteresis = 1e18;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   inst.RunNaiveQueries(300);
   inst.db.SetObserver(nullptr);
@@ -64,24 +64,23 @@ TEST(FirstInstallGatingTest, ReluctantControllerNeverInstalls) {
   CheckOk(controller.status());
   EXPECT_GT(controller.checks_run(), 0u);  // checks ran — and gated
   EXPECT_TRUE(controller.events().empty());
-  EXPECT_FALSE(inst.db.has_indexes());
+  EXPECT_FALSE(inst.db.has_indexes(kPath));
 }
 
 TEST(FirstInstallGatingTest, TinyHorizonCannotAmortizeTheBuild) {
   // With one operation of amortization horizon, per-op savings in the tens
   // of pages cannot beat theta x a build transition in the thousands.
   Instance inst;
-  inst.db.SetQueryPath(inst.setup.path);
   ControllerOptions options = FastOptions();
   options.horizon_ops = 1;
-  ReconfigurationController controller(&inst.db, inst.setup.path, options);
+  JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   inst.RunNaiveQueries(300);
   inst.db.SetObserver(nullptr);
 
   CheckOk(controller.status());
   EXPECT_TRUE(controller.events().empty());
-  EXPECT_FALSE(inst.db.has_indexes());
+  EXPECT_FALSE(inst.db.has_indexes(kPath));
 }
 
 TEST(FirstInstallGatingTest, UpdateOnlyStreamHasNothingToSave) {
@@ -89,9 +88,7 @@ TEST(FirstInstallGatingTest, UpdateOnlyStreamHasNothingToSave) {
   // per operation: there are no savings, and no index is built for a
   // write-only stream (before the fix, the first check installed one).
   Instance inst;
-  inst.db.SetQueryPath(inst.setup.path);
-  ReconfigurationController controller(&inst.db, inst.setup.path,
-                                       FastOptions());
+  JointReconfigurationController controller(&inst.db, FastOptions());
   inst.db.SetObserver(&controller);
   for (int i = 0; i < 300; ++i) inst.db.Insert(inst.setup.person, {});
   inst.db.SetObserver(nullptr);
@@ -99,7 +96,7 @@ TEST(FirstInstallGatingTest, UpdateOnlyStreamHasNothingToSave) {
   CheckOk(controller.status());
   EXPECT_GT(controller.checks_run(), 0u);
   EXPECT_TRUE(controller.events().empty());
-  EXPECT_FALSE(inst.db.has_indexes());
+  EXPECT_FALSE(inst.db.has_indexes(kPath));
 }
 
 TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
@@ -107,16 +104,14 @@ TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
   // on the first check, and the event records the measured naive cost it
   // was gated against (positive savings) plus the measured transition.
   Instance inst;
-  inst.db.SetQueryPath(inst.setup.path);
-  ReconfigurationController controller(&inst.db, inst.setup.path,
-                                       FastOptions());
+  JointReconfigurationController controller(&inst.db, FastOptions());
   inst.db.SetObserver(&controller);
   inst.RunNaiveQueries(60);
   inst.db.SetObserver(nullptr);
 
   CheckOk(controller.status());
   ASSERT_EQ(controller.events().size(), 1u);
-  const ReconfigurationEvent& ev = controller.events()[0];
+  const JointReconfigurationEvent& ev = controller.events()[0];
   EXPECT_TRUE(ev.initial);
   EXPECT_GT(ev.predicted_savings_per_op, 0.0);
   // Measured transition: no drops on a first install, and the registry's
@@ -126,38 +121,7 @@ TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
                 static_cast<std::uint64_t>(ev.measured.write_pages),
             inst.db.registry().cumulative_build_io().total());
   EXPECT_GT(controller.measured_transition_pages_charged(), 0.0);
-  EXPECT_TRUE(inst.db.has_indexes());
-}
-
-TEST(FirstInstallGatingTest, JointControllerGatesIdentically) {
-  for (const bool reluctant : {true, false}) {
-    Instance inst;
-    CheckOk(inst.db.RegisterPath("people", inst.setup.path));
-    ControllerOptions options = FastOptions();
-    if (reluctant) options.hysteresis = 1e18;
-    JointReconfigurationController controller(&inst.db, options);
-    inst.db.SetObserver(&controller);
-    for (int i = 0; i < 300; ++i) {
-      CheckOk(inst.db
-                  .QueryNaive("people",
-                              Key::FromString(EndingValue(i % kDistinct)),
-                              inst.setup.person)
-                  .status());
-    }
-    inst.db.SetObserver(nullptr);
-
-    CheckOk(controller.status());
-    EXPECT_GT(controller.checks_run(), 0u);
-    if (reluctant) {
-      EXPECT_TRUE(controller.events().empty());
-      EXPECT_FALSE(inst.db.has_indexes("people"));
-    } else {
-      ASSERT_FALSE(controller.events().empty());
-      EXPECT_TRUE(controller.events()[0].initial);
-      EXPECT_GT(controller.events()[0].predicted_savings_per_op, 0.0);
-      EXPECT_TRUE(inst.db.has_indexes("people"));
-    }
-  }
+  EXPECT_TRUE(inst.db.has_indexes(kPath));
 }
 
 }  // namespace

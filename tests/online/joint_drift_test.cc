@@ -8,6 +8,7 @@
 
 #include "exec/analyze.h"
 #include "online/joint_experiment.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 namespace {
@@ -71,8 +72,8 @@ TEST(JointDriftTraceTest, BudgetBindsAndIsRespectedByEveryOnlineSelection) {
   unbudgeted.has_budget = false;
 
   SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
 
   const auto solve = [&](const TraceSpec& s) {
     PhysicalParams params = s.catalog.params();
@@ -113,6 +114,29 @@ TEST(JointDriftTraceTest, BudgetBindsAndIsRespectedByEveryOnlineSelection) {
     }
   }
   EXPECT_TRUE(differs) << "the shipped budget does not bind";
+
+  // Served under the options the spec implies, every assignment the online
+  // controller commits fits the budget (the chosen rows of an install or
+  // switch record carry the whole assignment's distinct-index storage).
+  JointReconfigurationController controller(&db, ControllerOptionsFor(spec));
+  db.SetObserver(&controller);
+  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
+    driver.RunPhase(i, &controller);
+  }
+  db.SetObserver(nullptr);
+  CheckOk(controller.status());
+  int commits = 0;
+  for (const DecisionRecord& rec : controller.decisions()) {
+    if (rec.verdict != "install" && rec.verdict != "switch") continue;
+    ++commits;
+    for (const DecisionCandidate& cand : rec.candidates) {
+      if (!cand.chosen) continue;
+      EXPECT_GT(cand.storage_bytes, 0.0) << "check " << rec.check_number;
+      EXPECT_LE(cand.storage_bytes, spec.storage_budget_bytes + 1e-6)
+          << "check " << rec.check_number;
+    }
+  }
+  EXPECT_GT(commits, 1);
 }
 
 }  // namespace

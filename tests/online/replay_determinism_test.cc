@@ -1,11 +1,12 @@
-// Satellite determinism guard: replaying the same .pix trace twice produces
-// byte-identical event logs, AccessStats and *decision ledgers* — including
-// the scoped tallies and the ledger's workload snapshots, which must not
-// leak unordered-container iteration order (or wall-clock values) into
-// anything observable (the probe plumbing runs on every operation; the
-// ledger is captured at every drift check). The serving engine rides the
-// same pin: ServeDriver with --threads=1 is the replayer's exact op
-// sequence, so its run must reproduce the identical bytes.
+// Determinism guard: serving the same .pix trace twice on one worker
+// produces byte-identical event logs, AccessStats and *decision ledgers* —
+// including the scoped tallies and the ledger's workload snapshots, which
+// must not leak unordered-container iteration order (or wall-clock values)
+// into anything observable (the probe plumbing runs on every operation;
+// the ledger is captured at every drift check). Every experiment replays
+// on this one-worker serve, so its byte-stability is what makes the
+// online / oracle / static comparison exact. (scripts/obs_smoke.py pins
+// the shipped trace's ledger against examples/ledgers/ across builds.)
 
 #include <gtest/gtest.h>
 
@@ -36,23 +37,18 @@ std::string Fmt(const TransitionCost& t) {
          Fmt(t.write_pages);
 }
 
-/// One run of the shipped joint trace: online controller only (the costly
-/// baselines add nothing to a determinism check). \p run_phase executes
-/// phase i against the attached controller and returns its PhaseReport —
-/// the replayer and the single-threaded serve driver plug in here.
-/// Returns the serialized event log plus every pager counter.
-template <typename RunPhaseFn>
-std::string LogRun(SimDatabase& db, const TraceSpec& spec,
-                   RunPhaseFn&& run_phase) {
-  ControllerOptions options;
-  options.orgs = spec.options.orgs;
-  options.physical_params = spec.catalog.params();
-  options.storage_budget_bytes = spec.storage_budget_bytes;
-  JointReconfigurationController controller(&db, options);
+/// One single-threaded serve of the shipped joint trace: online controller
+/// only (the costly baselines add nothing to a determinism check). Returns
+/// the serialized event log plus every pager counter.
+std::string ServeOnce(const TraceSpec& spec) {
+  SimDatabase db(spec.schema, spec.catalog.params());
+  ServeDriver driver(&db, spec, ServeOptions{1});
+  driver.Populate();
+  JointReconfigurationController controller(&db, ControllerOptionsFor(spec));
   db.SetObserver(&controller);
   std::string log;
   for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    const PhaseReport report = run_phase(i, &controller);
+    const PhaseReport report = driver.RunPhase(i, &controller).phase;
     log += "phase " + report.name + " ops " + std::to_string(report.ops) +
            " pages " + std::to_string(report.pages) + " transition " +
            Fmt(report.transition_pages) + " measured " +
@@ -93,30 +89,6 @@ std::string LogRun(SimDatabase& db, const TraceSpec& spec,
   return log;
 }
 
-std::string ReplayOnce(const TraceSpec& spec) {
-  SimDatabase db(spec.schema, spec.catalog.params());
-  TraceReplayer replayer(&db, spec);
-  replayer.Populate();
-  return LogRun(db, spec,
-                [&](std::size_t i, JointReconfigurationController* c) {
-                  return replayer.RunPhase(i, c);
-                });
-}
-
-/// The serving engine on one worker thread: per the determinism contract
-/// (serve/serve_driver.h), worker 0's RNG is the replayer's stream and the
-/// single shard is the replayer's pool, so this must reproduce ReplayOnce
-/// byte for byte.
-std::string ServeOnce(const TraceSpec& spec, int threads) {
-  SimDatabase db(spec.schema, spec.catalog.params());
-  ServeDriver driver(&db, spec, ServeOptions{threads});
-  driver.Populate();
-  return LogRun(db, spec,
-                [&](std::size_t i, JointReconfigurationController* c) {
-                  return driver.RunPhase(i, c).phase;
-                });
-}
-
 TEST(ReplayDeterminismTest, SameTraceTwiceIsByteIdentical) {
   Result<TraceSpec> parsed = ParseTraceSpecFile(
       std::string(PATHIX_SOURCE_DIR) +
@@ -125,8 +97,8 @@ TEST(ReplayDeterminismTest, SameTraceTwiceIsByteIdentical) {
   const TraceSpec& spec = parsed.value();
   ASSERT_GT(spec.paths.size(), 1u);  // the multi-path replay path
 
-  const std::string first = ReplayOnce(spec);
-  const std::string second = ReplayOnce(spec);
+  const std::string first = ServeOnce(spec);
+  const std::string second = ServeOnce(spec);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 
@@ -136,21 +108,7 @@ TEST(ReplayDeterminismTest, SameTraceTwiceIsByteIdentical) {
       std::string(PATHIX_SOURCE_DIR) +
       "/examples/specs/vehicle_joint_trace.pix");
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(first, ReplayOnce(reparsed.value()));
-}
-
-TEST(ReplayDeterminismTest, SingleThreadedServeDriverMatchesReplayer) {
-  Result<TraceSpec> parsed = ParseTraceSpecFile(
-      std::string(PATHIX_SOURCE_DIR) +
-      "/examples/specs/vehicle_joint_trace.pix");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const TraceSpec& spec = parsed.value();
-
-  // Event log, decision ledger, every pager counter: identical bytes.
-  const std::string replayed = ReplayOnce(spec);
-  const std::string served = ServeOnce(spec, /*threads=*/1);
-  EXPECT_FALSE(replayed.empty());
-  EXPECT_EQ(replayed, served);
+  EXPECT_EQ(first, ServeOnce(reparsed.value()));
 }
 
 }  // namespace
