@@ -67,9 +67,12 @@ void BM_BTreeLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(100000);
 
+constexpr char kPeople[] = "people";
+
 struct SimFixtureState {
   SimFixtureState() : setup(MakeExample51Setup()),
                       db(setup.schema, PhysicalParams{}) {
+    CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(11);
     gen.Populate(&db, setup.path,
                  {
@@ -88,12 +91,12 @@ struct SimFixtureState {
 void BM_IndexedPathQuery(benchmark::State& state) {
   SimFixtureState s;
   CheckOk(s.db.ConfigureIndexes(
-      s.setup.path, IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
-                                        {Subpath{3, 4}, IndexOrg::kMX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
+                                   {Subpath{3, 4}, IndexOrg::kMX}})));
   int i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        s.db.Query(Key::FromString(EndingValue(i++ % 25)), s.setup.person));
+    benchmark::DoNotOptimize(s.db.Query(
+        kPeople, Key::FromString(EndingValue(i++ % 25)), s.setup.person));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -102,11 +105,11 @@ BENCHMARK(BM_IndexedPathQuery);
 void BM_NaivePathQuery(benchmark::State& state) {
   SimFixtureState s;
   CheckOk(s.db.ConfigureIndexes(
-      s.setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
   int i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.db.QueryNaive(
-        Key::FromString(EndingValue(i++ % 25)), s.setup.person));
+        kPeople, Key::FromString(EndingValue(i++ % 25)), s.setup.person));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -115,7 +118,7 @@ BENCHMARK(BM_NaivePathQuery);
 void BM_NIXMaintenanceInsert(benchmark::State& state) {
   SimFixtureState s;
   CheckOk(s.db.ConfigureIndexes(
-      s.setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}})));
   const std::vector<Oid> vehicles = s.db.store().PeekAll(s.setup.vehicle);
   std::mt19937 rng(3);
   for (auto _ : state) {

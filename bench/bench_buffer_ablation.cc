@@ -21,6 +21,7 @@ namespace {
 using namespace pathix;
 
 constexpr int kDistinct = 60;
+constexpr char kPeople[] = "people";
 
 double QueryMixCost(SimDatabase& db, const PaperSetup& setup,
                     std::size_t buffer_pages) {
@@ -39,7 +40,8 @@ double QueryMixCost(SimDatabase& db, const PaperSetup& setup,
       for (int r = 0; r < reps; ++r) {
         const Key value =
             Key::FromString(EndingValue((round * 19 + queries) % kDistinct));
-        CheckOk(db.Query(value, cls, /*include_subclasses=*/true).status());
+        CheckOk(db.Query(kPeople, value, cls, /*include_subclasses=*/true)
+                    .status());
         ++queries;
       }
     }
@@ -76,6 +78,7 @@ int main() {
   for (int c = 0; c < 4; ++c) {
     const PaperSetup setup = MakeExample51Setup();
     SimDatabase db(setup.schema, PhysicalParams{});
+    CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(99);
     gen.Populate(&db, setup.path,
                  {
@@ -86,7 +89,7 @@ int main() {
                      {setup.truck, 250, 0, 1.0},
                      {setup.person, 10000, 0, 1.0},
                  });
-    CheckOk(db.ConfigureIndexes(setup.path, configs[c]));
+    CheckOk(db.ConfigureIndexes(kPeople, configs[c]));
     const double cold = QueryMixCost(db, setup, 0);
     const double buf16 = QueryMixCost(db, setup, 16);
     const double buf128 = QueryMixCost(db, setup, 128);

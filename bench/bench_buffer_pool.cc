@@ -25,6 +25,7 @@ using namespace pathix;
 
 constexpr int kDistinct = 60;
 constexpr int kRounds = 20;
+constexpr char kPeople[] = "people";
 
 struct SweepPoint {
   std::size_t capacity = 0;
@@ -53,7 +54,8 @@ SweepPoint RunSweep(SimDatabase& db, const PaperSetup& setup,
       for (int r = 0; r < reps; ++r) {
         const Key value =
             Key::FromString(EndingValue((round * 19 + queries) % kDistinct));
-        CheckOk(db.Query(value, cls, /*include_subclasses=*/true).status());
+        CheckOk(db.Query(kPeople, value, cls, /*include_subclasses=*/true)
+                    .status());
         ++queries;
       }
     }
@@ -86,6 +88,7 @@ int main() {
 
   const PaperSetup setup = MakeExample51Setup();
   SimDatabase db(setup.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, setup.path));
   PathDataGenerator gen(99);
   gen.Populate(&db, setup.path,
                {
@@ -97,7 +100,7 @@ int main() {
                    {setup.person, 10000, 0, 1.0},
                });
   CheckOk(db.ConfigureIndexes(
-      setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
 
   const std::size_t capacities[] = {0, 8, 32, 128, 512, 2048};
   pathix_bench::BenchJson json("bench_buffer_pool");

@@ -29,6 +29,7 @@ namespace {
 using namespace pathix;
 
 constexpr int kDistinct = 100;
+constexpr char kPeople[] = "people";
 
 struct Row {
   const char* op;
@@ -38,6 +39,7 @@ struct Row {
 
 struct Bench {
   Bench() : setup(MakeExample51Setup()), db(setup.schema, PhysicalParams{}) {
+    CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(2024);
     created = gen.Populate(&db, setup.path,
                            {
@@ -63,7 +65,7 @@ double MeasureQueries(Bench& b, ClassId target, int n_queries) {
   for (int i = 0; i < n_queries; ++i) {
     const Key value = Key::FromString(EndingValue(i % kDistinct));
     b.db.pager().ResetStats();
-    CheckOk(b.db.Query(value, target).status());
+    CheckOk(b.db.Query(kPeople, value, target).status());
     total += static_cast<double>(b.db.pager().stats().total());
   }
   return total / n_queries;
@@ -104,7 +106,7 @@ double MeasureDeletes(Bench& b, std::vector<Oid>* victims, int reps) {
 void RunOrg(IndexOrg org, pathix_bench::BenchJson* json) {
   Bench b;
   CheckOk(b.db.ConfigureIndexes(
-      b.setup.path, IndexConfiguration({{Subpath{1, 4}, org}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, org}})));
 
   // Analytic model over the *collected* statistics with a query-only load
   // binding (the load only matters for subpath costs, not per-op costs).
@@ -167,7 +169,7 @@ void RankingCheck(pathix_bench::BenchJson* json) {
   for (int i = 0; i < 3; ++i) {
     Bench b;
     CheckOk(b.db.ConfigureIndexes(
-        b.setup.path, IndexConfiguration({{Subpath{1, 4}, orgs[i]}})));
+        kPeople, IndexConfiguration({{Subpath{1, 4}, orgs[i]}})));
     LoadDistribution load;
     const PathContext ctx =
         PathContext::Build(b.setup.schema, b.setup.path, b.catalog, load)

@@ -49,13 +49,14 @@
 // configuration and stays within 2x of the oracle (the acceptance
 // envelope), 1 on error, 2 when the envelope is missed.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "obs/decision_log.h"
@@ -583,12 +584,13 @@ int main(int argc, char** argv) {
     } else if (const char* ledger_file = flag_value("--decisions-out=")) {
       flags.decisions_out = ledger_file;
     } else if (const char* pages = flag_value("--buffer-pages=")) {
-      const long parsed = std::atol(pages);
-      if (parsed < 0) {
+      // The whole value must parse, in range for std::size_t.
+      const char* end = arg.data() + arg.size();
+      const auto [ptr, ec] = std::from_chars(pages, end, buffer_pages);
+      if (ec != std::errc() || ptr != end) {
         std::cerr << "error: --buffer-pages wants a non-negative integer\n";
         return 1;
       }
-      buffer_pages = static_cast<std::size_t>(parsed);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "error: unknown flag " << arg
                 << " (known: --buffer-pages=N, --metrics, --metrics-out=FILE, "

@@ -29,11 +29,12 @@
 // sampled op (executed + deterministic no-ops == ops) — the no-lost-ops
 // invariant — and the controller stayed healthy; 1 otherwise.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "serve/serve_driver.h"
@@ -167,19 +168,22 @@ int main(int argc, char** argv) {
       const std::size_t n = std::string(prefix).size();
       return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
     };
+    // A number flag's whole value must parse, in range for its type.
+    const auto parse_number = [&](const char* value, auto* out) {
+      const char* end = arg.data() + arg.size();
+      const auto [ptr, ec] = std::from_chars(value, end, *out);
+      return ec == std::errc() && ptr == end;
+    };
     if (const char* value = flag_value("--threads=")) {
-      threads = std::atoi(value);
-      if (threads < 1) {
+      if (!parse_number(value, &threads) || threads < 1) {
         std::cerr << "error: --threads wants a positive integer\n";
         return 1;
       }
     } else if (const char* pages = flag_value("--buffer-pages=")) {
-      const long parsed = std::atol(pages);
-      if (parsed < 0) {
+      if (!parse_number(pages, &buffer_pages)) {
         std::cerr << "error: --buffer-pages wants a non-negative integer\n";
         return 1;
       }
-      buffer_pages = static_cast<std::size_t>(parsed);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "error: unknown flag " << arg
                 << " (known: --threads=N, --buffer-pages=N)\n";

@@ -22,6 +22,8 @@ int main() {
   // --- 1. Schema + synthetic database (1/20-scale Figure 7 shape).
   const PaperSetup setup = MakeExample51Setup();
   SimDatabase db(setup.schema, PhysicalParams{});
+  const PathId people = "people";  // the paper's path, registered by id
+  CheckOk(db.RegisterPath(people, setup.path));
   PathDataGenerator gen(7);
   auto created = gen.Populate(&db, setup.path,
                               {
@@ -49,24 +51,25 @@ int main() {
             << "x)\n\n";
 
   // --- 3. Install the recommendation physically and measure.
-  CheckOk(db.ConfigureIndexes(setup.path, rec.result.config));
+  CheckOk(db.ConfigureIndexes(people, rec.result.config));
 
   // Pick a division name that actually selects owners.
   Key fiat_like = Key::FromString(EndingValue(0));
   for (int i = 0; i < 400; ++i) {
     const Key candidate = Key::FromString(EndingValue(i));
-    if (!db.Query(candidate, setup.person).value().empty()) {
+    if (!db.Query(people, candidate, setup.person).value().empty()) {
       fiat_like = candidate;
       break;
     }
   }
   db.pager().ResetStats();
-  const std::vector<Oid> owners = db.Query(fiat_like, setup.person).value();
+  const std::vector<Oid> owners =
+      db.Query(people, fiat_like, setup.person).value();
   const AccessStats indexed = db.pager().stats();
 
   db.pager().ResetStats();
   const std::vector<Oid> owners_naive =
-      db.QueryNaive(fiat_like, setup.person).value();
+      db.QueryNaive(people, fiat_like, setup.person).value();
   const AccessStats naive = db.pager().stats();
 
   std::cout << "query: 'persons owning a vehicle manufactured by a company "

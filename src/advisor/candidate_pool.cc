@@ -5,81 +5,40 @@
 #include <set>
 #include <utility>
 
-#include "core/matrix_cache.h"
 #include "costmodel/org_model.h"
 
 namespace pathix {
 
+namespace {
+
+/// Everything one path's unit costs depend on, flattened: path structure,
+/// class statistics, physical parameters, query profile — NOT the loads.
+std::vector<double> Fingerprint(const PathContext& ctx) {
+  std::vector<double> fp;
+  const PhysicalParams& p = ctx.params();
+  fp.insert(fp.end(),
+            {static_cast<double>(ctx.n()), p.page_size, p.oid_len, p.ptr_len,
+             p.key_len, p.rec_overhead, p.dir_entry_len, p.numchild_len,
+             p.pr_override, p.pm_override, ctx.profile().matching_keys});
+  for (int l = 1; l <= ctx.n(); ++l) {
+    fp.push_back(ctx.KeyLenAt(l));
+    fp.push_back(ctx.DistinctKeysLevel(l));
+    const auto& level = ctx.level(l);
+    fp.push_back(static_cast<double>(level.size()));
+    for (const LevelClassInfo& c : level) {
+      fp.insert(fp.end(), {static_cast<double>(c.cls), c.stats.n, c.stats.d,
+                           c.stats.nin, c.stats.obj_len});
+    }
+  }
+  return fp;
+}
+
+}  // namespace
+
 Result<CandidatePool> CandidatePool::Build(
     const Schema& schema, const Catalog& catalog,
     const std::vector<PathWorkload>& paths, const AdvisorOptions& options) {
-  if (paths.empty()) {
-    return Status::InvalidArgument("no paths given");
-  }
-  if (options.orgs.empty()) {
-    return Status::InvalidArgument("no candidate organizations given");
-  }
-
-  CandidatePool pool;
-  pool.orgs_ = options.orgs;
-  std::map<StructuralKey, int> entry_ids;
-
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    Result<PathContext> ctx =
-        PathContext::Build(schema, paths[i].path, catalog, paths[i].load,
-                           options.query_profile);
-    if (!ctx.ok()) return ctx.status();
-    const int n = ctx.value().n();
-    pool.path_lengths_.push_back(n);
-
-    const std::vector<Subpath> subpaths = EnumerateSubpaths(n);
-    std::vector<std::vector<std::pair<int, int>>> path_lookup(
-        subpaths.size(),
-        std::vector<std::pair<int, int>>(options.orgs.size(), {-1, -1}));
-
-    for (std::size_t row = 0; row < subpaths.size(); ++row) {
-      const Subpath& sp = subpaths[row];
-      for (std::size_t col = 0; col < options.orgs.size(); ++col) {
-        const IndexOrg org = options.orgs[col];
-        StructuralKey key =
-            StructuralKey::ForSubpath(paths[i].path, sp.start, sp.end, org);
-
-        CandidateUse use;
-        use.path_index = static_cast<int>(i);
-        use.subpath = sp;
-        use.breakdown =
-            ComputeSubpathCost(ctx.value(), sp.start, sp.end, org);
-        use.query_prefix = use.breakdown.query + use.breakdown.prefix;
-        use.maintain = use.breakdown.maintain + use.breakdown.boundary;
-        const double bytes =
-            MakeOrgCostModel(org, ctx.value(), sp.start, sp.end)
-                ->StorageBytes();
-
-        auto [it, inserted] =
-            entry_ids.emplace(key, static_cast<int>(pool.entries_.size()));
-        if (inserted) {
-          CandidateEntry entry;
-          entry.key = std::move(key);
-          entry.label = entry.key.Label(schema);
-          pool.entries_.push_back(std::move(entry));
-        }
-        CandidateEntry& entry =
-            pool.entries_[static_cast<std::size_t>(it->second)];
-        entry.storage_bytes = std::max(entry.storage_bytes, bytes);
-        path_lookup[row][col] = {it->second,
-                                 static_cast<int>(entry.uses.size())};
-        entry.uses.push_back(use);
-      }
-    }
-    pool.lookup_.push_back(std::move(path_lookup));
-  }
-
-  for (CandidateEntry& entry : pool.entries_) {
-    std::set<int> distinct;
-    for (const CandidateUse& use : entry.uses) distinct.insert(use.path_index);
-    entry.shareable = distinct.size() >= 2;
-  }
-  return pool;
+  return CandidatePoolBuilder().Build(schema, catalog, paths, options);
 }
 
 int CandidatePool::EntryFor(int path_index, const Subpath& sp,
@@ -116,16 +75,16 @@ Result<CandidatePool> CandidatePoolBuilder::Build(
     ctxs.push_back(std::move(ctx).value());
   }
 
-  // The statistics fingerprint: per-path structure/statistics (the matrix
-  // cache's notion) plus the candidate organization set. Loads are not in
-  // it — they are reweighed below either way.
+  // The statistics fingerprint: per-path structure/statistics plus the
+  // candidate organization set. Loads are not in it — they are reweighed
+  // below either way.
   std::vector<double> fp;
   fp.push_back(static_cast<double>(options.orgs.size()));
   for (const IndexOrg org : options.orgs) {
     fp.push_back(static_cast<double>(org));
   }
   for (const PathContext& ctx : ctxs) {
-    const std::vector<double> part = CostMatrixBuilder::Fingerprint(ctx);
+    const std::vector<double> part = Fingerprint(ctx);
     fp.push_back(static_cast<double>(part.size()));  // path delimiter
     fp.insert(fp.end(), part.begin(), part.end());
   }

@@ -56,9 +56,9 @@ class CandidatePool {
   /// An empty pool; usable only as an assignment target.
   CandidatePool() = default;
 
-  /// Binds each path to the schema/catalog/load and prices all candidates.
-  /// Fails when any per-path context fails to build (missing statistics) or
-  /// \p paths is empty.
+  /// Binds each path to the schema/catalog/load and prices all candidates
+  /// (a one-shot CandidatePoolBuilder). Fails when any per-path context
+  /// fails to build (missing statistics) or \p paths is empty.
   static Result<CandidatePool> Build(const Schema& schema,
                                      const Catalog& catalog,
                                      const std::vector<PathWorkload>& paths,
@@ -91,19 +91,18 @@ class CandidatePool {
 };
 
 /// \brief Builds CandidatePool instances, reusing the structural skeleton
-/// and the load-independent unit costs across calls with unchanged
-/// statistics — the matrix-cache factorization (core/matrix_cache.h)
-/// lifted to the workload pool.
+/// and the load-independent unit costs (SubpathUnitCosts) across calls with
+/// unchanged statistics — price once, reweigh per drift check.
 ///
 /// The pool's shape (deduplicated entries, lookup tables, storage bytes)
 /// and the per-use organization-model evaluations depend on the path set,
 /// the catalog statistics and the physical parameters — never on the
 /// drifting load estimates, which enter each use's price purely as linear
 /// weights. A drift check with unchanged statistics therefore reweighs the
-/// cached unit costs (zero model evaluations, zero dedup work); the
-/// statistics fingerprint is CostMatrixBuilder's, so "unchanged" means
-/// exactly what it means for the single-path matrix cache. Pools produced
-/// by Build() are identical to CandidatePool::Build on the same inputs
+/// cached unit costs (zero model evaluations, zero dedup work). The
+/// statistics fingerprint covers each path's structure, class statistics,
+/// physical parameters and query profile. Every use's price equals the
+/// uncached Cost_Matrix cell (CostMatrix::Build) on the same inputs
 /// (tests/advisor/pool_cache_test.cc).
 class CandidatePoolBuilder {
  public:

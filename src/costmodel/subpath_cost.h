@@ -32,8 +32,8 @@ struct SubpathCost {
 /// statistics and physical parameters, never on the load distribution —
 /// the workload enters the processing cost purely as linear weights. Unit
 /// costs can therefore be computed once and reweighed for every drifting
-/// load estimate (the online selector's hot loop; see
-/// core/matrix_cache.h).
+/// load estimate (the online controller's drift checks; see
+/// CandidatePoolBuilder in advisor/candidate_pool.h).
 struct SubpathUnitCosts {
   /// Per level l in [a, b] (outer index l - a) and hierarchy position j:
   /// CR_X(C_{l,j}), CMins_X(C_{l,j}), CMdel_X(C_{l,j}).
@@ -44,8 +44,8 @@ struct SubpathUnitCosts {
   double boundary = 0;      ///< CMD_X(A_b): unit cost of a C_{b+1} deletion
 };
 
-/// Evaluates the organization model for every class of the subpath [a, b]
-/// (including zero-load classes, unlike ComputeSubpathCost's lazy loop).
+/// Evaluates the organization model for every class of the subpath [a, b],
+/// including zero-load classes.
 SubpathUnitCosts ComputeSubpathUnitCosts(const PathContext& ctx, int a, int b,
                                          IndexOrg org);
 

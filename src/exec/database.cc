@@ -221,54 +221,6 @@ std::vector<PathId> SimDatabase::path_ids() const {
   return ids;
 }
 
-SimDatabase::ConfiguredPath* SimDatabase::SolePath() {
-  return paths_.size() == 1 ? &paths_.begin()->second : nullptr;
-}
-
-const SimDatabase::ConfiguredPath* SimDatabase::SolePath() const {
-  return paths_.size() == 1 ? &paths_.begin()->second : nullptr;
-}
-
-Status SimDatabase::ConfigureIndexes(const Path& path,
-                                     IndexConfiguration config) {
-  for (const auto& [id, cp] : paths_) {
-    (void)cp;
-    if (id != kDefaultPathId) {
-      return Status::FailedPrecondition(
-          "named paths are registered; use ConfigureIndexes(id, config)");
-    }
-  }
-  PATHIX_RETURN_IF_ERROR(RegisterPath(kDefaultPathId, path));
-  return ConfigureIndexes(kDefaultPathId, std::move(config));
-}
-
-Status SimDatabase::ReconfigureIndexes(IndexConfiguration config) {
-  const ConfiguredPath* sole = SolePath();
-  if (sole == nullptr) {
-    return Status::FailedPrecondition(
-        paths_.empty()
-            ? "no path configured (use ConfigureIndexes for the initial "
-              "configuration)"
-            : "several paths are registered; name one "
-              "(ReconfigureIndexes(id, config))");
-  }
-  return ReconfigureIndexes(paths_.begin()->first, std::move(config));
-}
-
-bool SimDatabase::has_indexes() const {
-  const ConfiguredPath* sole = SolePath();
-  return sole != nullptr && sole->physical.load() != nullptr;
-}
-
-const PhysicalConfiguration& SimDatabase::physical() const {
-  const ConfiguredPath* sole = SolePath();
-  PATHIX_DCHECK(sole != nullptr);
-  const std::shared_ptr<PhysicalConfiguration> snapshot =
-      sole->physical.load();
-  PATHIX_DCHECK(snapshot != nullptr);
-  return *snapshot;
-}
-
 std::vector<Oid> SimDatabase::RunIndexedQuery(ConfiguredPath* cp,
                                               const std::string& label,
                                               PhysicalConfiguration* phys,
@@ -364,32 +316,6 @@ Result<SimDatabase::QueryOutcome> SimDatabase::QueryAny(
                                  target_class, include_subclasses);
   }
   return outcome;
-}
-
-Result<std::vector<Oid>> SimDatabase::Query(const Key& ending_value,
-                                            ClassId target_class,
-                                            bool include_subclasses) {
-  if (paths_.size() != 1) {
-    return Status::FailedPrecondition(
-        paths_.empty() ? "no index configuration installed"
-                       : "several paths are registered; name one");
-  }
-  return Query(paths_.begin()->first, ending_value, target_class,
-               include_subclasses);
-}
-
-Result<std::vector<Oid>> SimDatabase::QueryNaive(const Key& ending_value,
-                                                 ClassId target_class,
-                                                 bool include_subclasses) {
-  if (paths_.size() != 1) {
-    return Status::FailedPrecondition(
-        paths_.empty()
-            ? "no path configured (naive evaluation follows the configured "
-              "path)"
-            : "several paths are registered; name one");
-  }
-  return QueryNaive(paths_.begin()->first, ending_value, target_class,
-                    include_subclasses);
 }
 
 obs::MetricsSnapshot SimDatabase::SnapshotMetrics() {

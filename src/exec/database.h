@@ -22,6 +22,10 @@
 /// are built once and shared through the database's PhysicalPartRegistry.
 /// Every operation counts page accesses, the paper's cost metric.
 ///
+/// Paths are addressed by id only: the paper's single path is one
+/// registered id (RegisterPath, then ConfigureIndexes / Query on that id),
+/// exactly as each path of a multi-path workload is.
+///
 /// Concurrency model. Each path's installed configuration is an *epoch*
 /// (common/epoch_ptr.h): queries load a snapshot and never block — an
 /// online reconfiguration builds the incoming configuration off to the
@@ -40,9 +44,6 @@ namespace pathix {
 
 /// Name of a configured path within one database ("people_by_division").
 using PathId = std::string;
-
-/// The path id the single-path convenience API binds to.
-inline constexpr const char kDefaultPathId[] = "default";
 
 /// Kind of a counted database operation, as seen by a DbOpObserver.
 enum class DbOpKind { kQuery, kInsert, kDelete };
@@ -175,21 +176,6 @@ class SimDatabase {
   /// returns the combined point-in-time snapshot.
   obs::MetricsSnapshot SnapshotMetrics();
 
-  // ------------------------------------------- single-path convenience API
-  //
-  // The degenerate case the paper's offline pipeline runs in: exactly one
-  // path, registered under kDefaultPathId. These fail/DCHECK when other
-  // named paths exist.
-
-  /// Registers \p path under kDefaultPathId and builds \p config on it.
-  Status ConfigureIndexes(const Path& path, IndexConfiguration config);
-
-  /// Reconfigures the sole registered path.
-  Status ReconfigureIndexes(IndexConfiguration config);
-
-  bool has_indexes() const;
-  const PhysicalConfiguration& physical() const;
-
   /// Registers \p observer for the operation stream (nullptr detaches).
   /// At most one observer; the caller keeps ownership and must detach (or
   /// outlive the database) before the observer dies.
@@ -227,14 +213,6 @@ class SimDatabase {
   /// (no indexes).
   Result<std::vector<Oid>> QueryNaive(const PathId& id,
                                       const Key& ending_value,
-                                      ClassId target_class,
-                                      bool include_subclasses = false);
-
-  /// Single-path variants: dispatch to the sole registered path.
-  Result<std::vector<Oid>> Query(const Key& ending_value,
-                                 ClassId target_class,
-                                 bool include_subclasses = false);
-  Result<std::vector<Oid>> QueryNaive(const Key& ending_value,
                                       ClassId target_class,
                                       bool include_subclasses = false);
 
@@ -277,11 +255,6 @@ class SimDatabase {
       observer->OnOperation({kind, cls, path, naive, pages});
     }
   }
-
-  /// The sole registered path, for the single-path API (nullptr + error
-  /// message when there are zero or several).
-  ConfiguredPath* SolePath();
-  const ConfiguredPath* SolePath() const;
 
   /// Counted indexed evaluation on the pinned snapshot \p phys (the caller
   /// keeps the epoch reference alive across the call): probe, metrics,

@@ -73,8 +73,8 @@ struct ControllerOptions {
   /// A class's statistics are re-collected (scoped ANALYZE) when its live
   /// object count moved by more than this fraction since its last
   /// collection; untouched classes keep their entries and cost no store
-  /// pass. Between refreshes the matrix cache serves drift checks without
-  /// model calls.
+  /// pass. Between refreshes the candidate pool cache
+  /// (CandidatePoolBuilder) serves drift checks without model calls.
   double stats_refresh_fraction = 0.1;
   /// Storage budget of the selection, in bytes: the total size of the
   /// distinct physical indexes the solver may choose (infinity disables

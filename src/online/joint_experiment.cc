@@ -27,10 +27,37 @@ struct Instance {
   ServeDriver driver;
 };
 
-/// Statistics exactly as the joint controller's scoped ANALYZE collects
-/// them on first refresh (everything in every path's scope, shared
-/// (class, attribute) pairs scanned once), so oracle and static solves are
-/// apples to apples with the online run.
+}  // namespace
+
+Status CheckReplayableSpec(const TraceSpec& spec) {
+  for (IndexOrg org : spec.options.orgs) {
+    if (org == IndexOrg::kNX || org == IndexOrg::kPX) {
+      return Status::FailedPrecondition(
+          "NX/PX are model-only candidates; trace replays run physical "
+          "configurations");
+    }
+  }
+  if (spec.paths.empty()) {
+    return Status::InvalidArgument("trace spec declares no paths");
+  }
+  return Status::OK();
+}
+
+double PhaseWeight(const TracePhase& phase) {
+  double total = 0;
+  for (const auto& per_path : phase.queries) {
+    for (const auto& [cls, weight] : per_path) {
+      (void)cls;
+      total += weight;
+    }
+  }
+  for (const auto& [cls, upd] : phase.updates) {
+    (void)cls;
+    total += upd.insert + upd.del;
+  }
+  return total;
+}
+
 Catalog CollectWorkloadStatistics(const SimDatabase& db, const TraceSpec& spec) {
   PhysicalParams params = spec.catalog.params();
   params.page_size = static_cast<double>(db.pager().page_size());
@@ -46,8 +73,6 @@ Catalog CollectWorkloadStatistics(const SimDatabase& db, const TraceSpec& spec) 
   return catalog;
 }
 
-/// The joint optimum for the given per-path loads under the spec's budget,
-/// on \p catalog (live statistics of the database the replay runs on).
 Result<std::vector<IndexConfiguration>> SolveJoint(
     const SimDatabase& db, const TraceSpec& spec,
     const std::vector<LoadDistribution>& loads, const Catalog& catalog) {
@@ -78,53 +103,43 @@ Result<std::vector<IndexConfiguration>> SolveJoint(
   return configs;
 }
 
-/// Installs one configuration per path (uncounted).
-Status InstallAll(Instance* inst, const TraceSpec& spec,
+Status InstallAll(SimDatabase* db, const TraceSpec& spec,
                   const std::vector<IndexConfiguration>& configs) {
   std::vector<std::pair<PathId, IndexConfiguration>> changes;
   changes.reserve(spec.paths.size());
   for (std::size_t p = 0; p < spec.paths.size(); ++p) {
     changes.emplace_back(spec.paths[p].id, configs[p]);
   }
-  return inst->db.ReconfigureIndexes(changes);
+  return db->ReconfigureIndexes(changes);
 }
 
-}  // namespace
-
-LoadDistribution TraceAverageMix(const TraceSpec& spec,
-                                 std::size_t path_index) {
+std::vector<LoadDistribution> TraceAverageMixes(const TraceSpec& spec) {
   // The phase weight normalizes over the *whole* phase mix (every path's
   // queries plus the updates), so multi-path averages stay on one common
   // scale.
-  std::map<ClassId, OpLoad> acc;
+  std::vector<std::map<ClassId, OpLoad>> acc(spec.paths.size());
   double total_ops = 0;
   for (const TracePhase& phase : spec.phases) {
-    double phase_total = 0;
-    for (const auto& per_path : phase.queries) {
-      for (const auto& [cls, weight] : per_path) {
-        (void)cls;
-        phase_total += weight;
-      }
-    }
-    for (const auto& [cls, upd] : phase.updates) {
-      (void)cls;
-      phase_total += upd.insert + upd.del;
-    }
+    const double phase_total = PhaseWeight(phase);
     if (phase_total <= 0) continue;
     const double ops = static_cast<double>(phase.ops);
-    for (const auto& [cls, l] : phase.mixes[path_index].entries()) {
-      OpLoad& a = acc[cls];
-      a.query += l.query / phase_total * ops;
-      a.insert += l.insert / phase_total * ops;
-      a.del += l.del / phase_total * ops;
+    for (std::size_t p = 0; p < spec.paths.size(); ++p) {
+      for (const auto& [cls, l] : phase.mixes[p].entries()) {
+        OpLoad& a = acc[p][cls];
+        a.query += l.query / phase_total * ops;
+        a.insert += l.insert / phase_total * ops;
+        a.del += l.del / phase_total * ops;
+      }
     }
     total_ops += ops;
   }
-  LoadDistribution avg;
+  std::vector<LoadDistribution> avg(spec.paths.size());
   if (total_ops <= 0) return avg;
-  for (const auto& [cls, a] : acc) {
-    avg.Set(cls, a.query / total_ops, a.insert / total_ops,
-            a.del / total_ops);
+  for (std::size_t p = 0; p < spec.paths.size(); ++p) {
+    for (const auto& [cls, a] : acc[p]) {
+      avg[p].Set(cls, a.query / total_ops, a.insert / total_ops,
+                 a.del / total_ops);
+    }
   }
   return avg;
 }
@@ -148,16 +163,7 @@ Result<OptimizeResult> OfflineOptimum(const SimDatabase& db, const Path& path,
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages) {
-  for (IndexOrg org : spec.options.orgs) {
-    if (org == IndexOrg::kNX || org == IndexOrg::kPX) {
-      return Status::FailedPrecondition(
-          "NX/PX are model-only candidates; the online experiment runs "
-          "physical configurations");
-    }
-  }
-  if (spec.paths.empty()) {
-    return Status::InvalidArgument("trace spec declares no paths");
-  }
+  PATHIX_RETURN_IF_ERROR(CheckReplayableSpec(spec));
 
   JointExperimentReport report;
   const ControllerOptions copts = ControllerOptionsFor(spec, options);
@@ -194,7 +200,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
           inst.db, spec, spec.phases[i].mixes,
           CollectWorkloadStatistics(inst.db, spec));
       if (!best.ok()) return best.status();
-      PATHIX_RETURN_IF_ERROR(InstallAll(&inst, spec, best.value()));
+      PATHIX_RETURN_IF_ERROR(InstallAll(&inst.db, spec, best.value()));
       report.oracle_configs.push_back(best.value());
       report.oracle.phases.push_back(inst.driver.RunPhase(i).phase);
     }
@@ -223,11 +229,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
 
     // The joint optimum of the averaged mixes, and of each phase's mixes —
     // all solved under the budget.
-    std::vector<LoadDistribution> avg;
-    avg.reserve(spec.paths.size());
-    for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-      avg.push_back(TraceAverageMix(spec, p));
-    }
+    const std::vector<LoadDistribution> avg = TraceAverageMixes(spec);
     Result<std::vector<IndexConfiguration>> joint_avg =
         SolveJoint(stats_inst.db, spec, avg, stats_catalog);
     if (!joint_avg.ok()) return joint_avg.status();
@@ -258,7 +260,7 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
 
     for (JointStaticCandidate& c : candidates) {
       Instance inst(spec, buffer_pages);
-      PATHIX_RETURN_IF_ERROR(InstallAll(&inst, spec, c.configs));
+      PATHIX_RETURN_IF_ERROR(InstallAll(&inst.db, spec, c.configs));
       c.run.label = "static:" + c.label;
       for (std::size_t i = 0; i < spec.phases.size(); ++i) {
         c.run.phases.push_back(inst.driver.RunPhase(i).phase);

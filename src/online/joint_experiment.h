@@ -133,11 +133,42 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages = 0);
 
-/// The ops-weighted average of the trace's phase mixes for one path — the
-/// load a one-shot offline advisor would be handed if the drift were
-/// averaged away. Multi-path averages share one normalization scale.
-LoadDistribution TraceAverageMix(const TraceSpec& spec,
-                                 std::size_t path_index);
+// ------------------------------------------------ trace-replay helpers
+// Shared by RunJointOnlineExperiment and RunMeasuredVsModeled
+// (online/measured_validation.h).
+
+/// The guard of every trace replay: FailedPrecondition when the spec's
+/// candidate organizations include NX/PX (model-only; a replay runs
+/// physical configurations), InvalidArgument when it declares no paths.
+Status CheckReplayableSpec(const TraceSpec& spec);
+
+/// Sum of every weight of the phase's mix (all paths' queries plus the
+/// updates): the normalizer turning weighted model costs into pages per
+/// replayed operation, one scale for every path.
+double PhaseWeight(const TracePhase& phase);
+
+/// Statistics exactly as the joint controller's scoped ANALYZE collects
+/// them on first refresh (everything in every path's scope, shared
+/// (class, attribute) pairs scanned once), so replay-side solves are
+/// apples to apples with the online run.
+Catalog CollectWorkloadStatistics(const SimDatabase& db, const TraceSpec& spec);
+
+/// The joint optimum for the given per-path loads (parallel to
+/// spec.paths) under the spec's budget, on \p catalog (live statistics of
+/// the database the replay runs on).
+Result<std::vector<IndexConfiguration>> SolveJoint(
+    const SimDatabase& db, const TraceSpec& spec,
+    const std::vector<LoadDistribution>& loads, const Catalog& catalog);
+
+/// Installs one configuration per path of \p spec as one batch (uncounted).
+Status InstallAll(SimDatabase* db, const TraceSpec& spec,
+                  const std::vector<IndexConfiguration>& configs);
+
+/// The ops-weighted average of the trace's phase mixes, one load per path
+/// (parallel to spec.paths) — the loads a one-shot offline advisor would
+/// be handed if the drift were averaged away. All paths share one
+/// normalization scale.
+std::vector<LoadDistribution> TraceAverageMixes(const TraceSpec& spec);
 
 /// The offline optimum (O(n^2) DP on the full cost matrix) for \p load on
 /// statistics collected live from \p db, under \p physical_params (the

@@ -1,12 +1,10 @@
 #include "online/measured_validation.h"
 
 #include <map>
-#include <set>
 #include <utility>
 
 #include "core/structural_key.h"
 #include "costmodel/subpath_cost.h"
-#include "exec/analyze.h"
 #include "online/joint_experiment.h"
 #include "serve/serve_driver.h"
 
@@ -32,56 +30,11 @@ class OpCounter : public DbOpObserver {
   std::map<PathId, std::uint64_t> query_ops_;
 };
 
-/// Statistics exactly as the controller's scoped ANALYZE collects them
-/// (everything in every path's scope, shared (class, attribute) pairs
-/// scanned once) on the live store.
-Catalog CollectStats(const SimDatabase& db, const TraceSpec& spec) {
-  PhysicalParams params = spec.catalog.params();
-  params.page_size = static_cast<double>(db.pager().page_size());
-  Catalog catalog(params);
-  std::set<std::pair<ClassId, std::string>> collected;
-  for (const TracePath& tp : spec.paths) {
-    std::set<ClassId> scope;
-    const std::vector<ClassId> scope_vec = tp.path.Scope(db.schema());
-    scope.insert(scope_vec.begin(), scope_vec.end());
-    RefreshStatistics(db.store(), db.schema(), tp.path, scope, &catalog,
-                      &collected);
-  }
-  return catalog;
-}
-
-/// Sum of every weight of the phase's mix (all paths' queries plus the
-/// updates): the normalizer turning weighted model costs into pages per
-/// replayed operation.
-double PhaseWeight(const TracePhase& phase) {
-  double total = 0;
-  for (const auto& per_path : phase.queries) {
-    for (const auto& [cls, weight] : per_path) {
-      (void)cls;
-      total += weight;
-    }
-  }
-  for (const auto& [cls, upd] : phase.updates) {
-    (void)cls;
-    total += upd.insert + upd.del;
-  }
-  return total;
-}
-
 }  // namespace
 
 Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
     const TraceSpec& spec, std::uint64_t min_query_ops) {
-  for (IndexOrg org : spec.options.orgs) {
-    if (org == IndexOrg::kNX || org == IndexOrg::kPX) {
-      return Status::FailedPrecondition(
-          "NX/PX are model-only candidates; the validation replay runs "
-          "physical configurations");
-    }
-  }
-  if (spec.paths.empty()) {
-    return Status::InvalidArgument("trace spec declares no paths");
-  }
+  PATHIX_RETURN_IF_ERROR(CheckReplayableSpec(spec));
 
   SimDatabase db(spec.schema, spec.catalog.params());
   ServeDriver driver(&db, spec, ServeOptions{1});
@@ -92,35 +45,12 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
   // one-shot offline advisor would install. The catalog doubles as phase
   // 0's statistics (index builds do not touch the store).
   MeasuredVsModeledReport report;
-  Catalog catalog = CollectStats(db, spec);
-  {
-    std::vector<PathWorkload> workloads;
-    workloads.reserve(spec.paths.size());
-    for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-      PathWorkload w;
-      w.name = spec.paths[p].id;
-      w.path = spec.paths[p].path;
-      w.load = TraceAverageMix(spec, p);
-      workloads.push_back(std::move(w));
-    }
-    AdvisorOptions advisor_options;
-    advisor_options.orgs = spec.options.orgs;
-    Result<CandidatePool> pool =
-        CandidatePool::Build(db.schema(), catalog, workloads, advisor_options);
-    if (!pool.ok()) return pool.status();
-    JointOptions joint_options;
-    joint_options.storage_budget_bytes = spec.storage_budget_bytes;
-    Result<JointSelectionResult> joint =
-        SelectJointConfiguration(pool.value(), joint_options);
-    if (!joint.ok()) return joint.status();
-
-    std::vector<std::pair<PathId, IndexConfiguration>> changes;
-    for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-      report.configs.push_back(joint.value().per_path[p].config);
-      changes.emplace_back(spec.paths[p].id, report.configs.back());
-    }
-    PATHIX_RETURN_IF_ERROR(db.ReconfigureIndexes(changes));
-  }
+  Catalog catalog = CollectWorkloadStatistics(db, spec);
+  Result<std::vector<IndexConfiguration>> configs =
+      SolveJoint(db, spec, TraceAverageMixes(spec), catalog);
+  if (!configs.ok()) return configs.status();
+  report.configs = std::move(configs).value();
+  PATHIX_RETURN_IF_ERROR(InstallAll(&db, spec, report.configs));
 
   OpCounter counter;
   db.SetObserver(&counter);
@@ -134,7 +64,7 @@ Result<MeasuredVsModeledReport> RunMeasuredVsModeled(
     // the phase (the same live-ANALYZE view a controller would solve on;
     // phase 0 reuses the selection catalog — nothing has mutated the store
     // since).
-    if (i > 0) catalog = CollectStats(db, spec);
+    if (i > 0) catalog = CollectWorkloadStatistics(db, spec);
     std::vector<double> modeled_query(spec.paths.size(), 0);
     double modeled_total = 0;
     std::map<StructuralKey, double> placed_maintain;

@@ -1,20 +1,38 @@
 // The candidate-pool cache (advisor/candidate_pool.h): pools produced by
-// CandidatePoolBuilder must be *identical* to CandidatePool::Build on the
-// same inputs — the cache is a pure factorization, never an approximation —
-// while Build calls with unchanged statistics reweigh the cached skeleton
-// (cache_hits) instead of re-evaluating the organization models.
+// a reused CandidatePoolBuilder must be *identical* to a fresh build on the
+// same inputs, and every priced use must equal the uncached Cost_Matrix
+// cell (CostMatrix::Build, the reference outside the builder) — the cache
+// is a pure factorization, never an approximation — while Build calls with
+// unchanged statistics reweigh the cached skeleton (cache_hits) instead of
+// re-evaluating the organization models.
 
 #include "advisor/candidate_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
 
+#include "core/cost_matrix.h"
 #include "datagen/paper_schema.h"
 
 namespace pathix {
 namespace {
+
+const std::vector<IndexOrg> kAllOrgs = {IndexOrg::kMX,  IndexOrg::kMIX,
+                                        IndexOrg::kNIX, IndexOrg::kNX,
+                                        IndexOrg::kPX,  IndexOrg::kNone};
+
+LoadDistribution RandomLoad(const PaperSetup& setup, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> weight(0.0, 1.0);
+  LoadDistribution load;
+  for (ClassId cls : setup.path.Scope(setup.schema)) {
+    load.Set(cls, weight(rng), weight(rng), weight(rng));
+  }
+  return load;
+}
 
 std::string Fmt(double v) {
   char buf[64];
@@ -68,6 +86,33 @@ class PoolCacheTest : public ::testing::Test {
   PathWorkload full_;
   PathWorkload audit_;
 };
+
+TEST_F(PoolCacheTest, MatchesUncachedCostMatrixAcrossRandomLoads) {
+  CandidatePoolBuilder builder;
+  AdvisorOptions options;
+  options.orgs = kAllOrgs;
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    const LoadDistribution load = RandomLoad(setup_, seed);
+    const Result<CandidatePool> pool =
+        builder.Build(setup_.schema, setup_.catalog,
+                      {PathWorkload{"people", setup_.path, load}}, options);
+    ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+    const PathContext ctx =
+        PathContext::Build(setup_.schema, setup_.path, setup_.catalog, load)
+            .value();
+    const CostMatrix matrix = CostMatrix::Build(ctx, kAllOrgs);
+    for (const Subpath& sp : matrix.subpaths()) {
+      for (IndexOrg org : kAllOrgs) {
+        EXPECT_EQ(pool.value().UseFor(0, sp, org).breakdown.total(),
+                  matrix.Cost(sp, org))
+            << "seed " << seed << " " << ToString(sp) << " " << ToString(org);
+      }
+    }
+  }
+  // One miss (the first call), then pure reweighting.
+  EXPECT_EQ(builder.model_rebuilds(), 1u);
+  EXPECT_EQ(builder.cache_hits(), 7u);
+}
 
 TEST_F(PoolCacheTest, CachedPoolIdenticalToDirectBuild) {
   CandidatePoolBuilder builder;

@@ -59,7 +59,7 @@ TEST(ServeStressTest, QueriesAndUpdatesAcrossEpochSwaps) {
     const IndexConfiguration split({{Subpath{1, 2}, IndexOrg::kNIX},
                                     {Subpath{3, 4}, IndexOrg::kMX}});
     for (int i = 0; i < kSwaps; ++i) {
-      CheckOk(db.ReconfigureIndexes(i % 2 == 0 ? split : whole));
+      CheckOk(db.ReconfigureIndexes("people", i % 2 == 0 ? split : whole));
       swaps_done.fetch_add(1, std::memory_order_relaxed);
     }
   });

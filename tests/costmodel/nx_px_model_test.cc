@@ -122,8 +122,9 @@ TEST_F(NxPxModelTest, InfiniteEntriesNeverWinRows) {
 
 TEST_F(NxPxModelTest, PhysicalLayerRejectsModelOnlyOrgs) {
   SimDatabase db(setup_.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath("people", setup_.path));
   const Status s = db.ConfigureIndexes(
-      setup_.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNX}}));
+      "people", IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNX}}));
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }

@@ -10,9 +10,12 @@
 namespace pathix {
 namespace {
 
+constexpr char kPeople[] = "people";
+
 TEST(BufferEquivalenceTest, ResultsIdenticalWithAndWithoutBuffer) {
   const PaperSetup setup = MakeExample51Setup();
   SimDatabase db(setup.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, setup.path));
   PathDataGenerator gen(321);
   gen.Populate(&db, setup.path,
                {
@@ -23,15 +26,17 @@ TEST(BufferEquivalenceTest, ResultsIdenticalWithAndWithoutBuffer) {
                    {setup.person, 400, 0, 1.5},
                });
   CheckOk(db.ConfigureIndexes(
-      setup.path, IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
-                                      {Subpath{3, 4}, IndexOrg::kMX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
+                                   {Subpath{3, 4}, IndexOrg::kMX}})));
 
   for (int i = 0; i < 15; ++i) {
     const Key value = Key::FromString(EndingValue(i));
     db.pager().EnableBuffer(0);
-    const std::vector<Oid> cold = db.Query(value, setup.person).value();
+    const std::vector<Oid> cold =
+        db.Query(kPeople, value, setup.person).value();
     db.pager().EnableBuffer(64);
-    const std::vector<Oid> warm = db.Query(value, setup.person).value();
+    const std::vector<Oid> warm =
+        db.Query(kPeople, value, setup.person).value();
     EXPECT_EQ(cold, warm) << i;
   }
   db.pager().EnableBuffer(0);
@@ -41,6 +46,7 @@ TEST(BufferEquivalenceTest, ResultsIdenticalWithAndWithoutBuffer) {
 TEST(BufferEquivalenceTest, WarmRepeatIsCheaperThanCold) {
   const PaperSetup setup = MakeExample51Setup();
   SimDatabase db(setup.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, setup.path));
   PathDataGenerator gen(654);
   gen.Populate(&db, setup.path,
                {
@@ -50,17 +56,17 @@ TEST(BufferEquivalenceTest, WarmRepeatIsCheaperThanCold) {
                    {setup.person, 800, 0, 1.5},
                });
   CheckOk(db.ConfigureIndexes(
-      setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
   const Key value = Key::FromString(EndingValue(3));
 
   db.pager().ResetStats();
-  CheckOk(db.Query(value, setup.person).status());
+  CheckOk(db.Query(kPeople, value, setup.person).status());
   const std::uint64_t cold = db.pager().stats().total();
 
   db.pager().EnableBuffer(256);
-  CheckOk(db.Query(value, setup.person).status());  // warms the pool
+  CheckOk(db.Query(kPeople, value, setup.person).status());  // warms the pool
   db.pager().ResetStats();
-  CheckOk(db.Query(value, setup.person).status());
+  CheckOk(db.Query(kPeople, value, setup.person).status());
   const std::uint64_t warm = db.pager().stats().total();
   EXPECT_LT(warm, cold);
   EXPECT_GT(db.pager().stats().buffer_hits, 0u);
@@ -73,6 +79,7 @@ TEST(BufferEquivalenceTest, WarmRepeatIsCheaperThanCold) {
 TEST(BufferEquivalenceTest, TinyPoolThrashesWhereBigPoolHits) {
   const PaperSetup setup = MakeExample51Setup();
   SimDatabase db(setup.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, setup.path));
   PathDataGenerator gen(654);
   gen.Populate(&db, setup.path,
                {
@@ -82,20 +89,21 @@ TEST(BufferEquivalenceTest, TinyPoolThrashesWhereBigPoolHits) {
                    {setup.person, 800, 0, 1.5},
                });
   CheckOk(db.ConfigureIndexes(
-      setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
   const Key value = Key::FromString(EndingValue(3));
 
   db.pager().EnableBuffer(1);
-  CheckOk(db.Query(value, setup.person).status());  // "warms" one frame
+  // "Warms" one frame.
+  CheckOk(db.Query(kPeople, value, setup.person).status());
   db.pager().ResetStats();
-  CheckOk(db.Query(value, setup.person).status());
+  CheckOk(db.Query(kPeople, value, setup.person).status());
   const AccessStats tiny = db.pager().stats();
 
   db.pager().EnableBuffer(0);  // drop the frame
   db.pager().EnableBuffer(256);
-  CheckOk(db.Query(value, setup.person).status());
+  CheckOk(db.Query(kPeople, value, setup.person).status());
   db.pager().ResetStats();
-  CheckOk(db.Query(value, setup.person).status());
+  CheckOk(db.Query(kPeople, value, setup.person).status());
   const AccessStats big = db.pager().stats();
 
   EXPECT_GT(tiny.reads, big.reads);
@@ -147,16 +155,18 @@ TEST(BufferEquivalenceTest, WriteBackAbsorbsRepeatedSlotWrites) {
 TEST(BufferEquivalenceTest, MaintenanceStaysCorrectUnderBuffering) {
   const PaperSetup setup = MakeExample51Setup();
   SimDatabase db(setup.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, setup.path));
   const Oid d = db.Insert(setup.division, {{"name", {Value::Str("x")}}});
   const Oid c = db.Insert(setup.company, {{"divs", {Value::Ref(d)}}});
   const Oid v = db.Insert(setup.vehicle, {{"man", {Value::Ref(c)}}});
   const Oid p = db.Insert(setup.person, {{"owns", {Value::Ref(v)}}});
   CheckOk(db.ConfigureIndexes(
-      setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}})));
   db.pager().EnableBuffer(32);
   CheckOk(db.Delete(v));
   CheckOk(db.ValidateIndexesDeep());
-  EXPECT_TRUE(db.Query(Key::FromString("x"), setup.person).value().empty());
+  EXPECT_TRUE(
+      db.Query(kPeople, Key::FromString("x"), setup.person).value().empty());
   (void)p;
 }
 

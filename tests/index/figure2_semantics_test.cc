@@ -146,21 +146,25 @@ TEST_F(Figure2Fixture, MXOwnsIndexMapsVehiclesToOwners) {
 TEST_F(Figure2Fixture, NIXInvertsTheWholePathPerClass) {
   // Figure 5: the primary record for 'Renault' lists, per scope class, all
   // objects reaching the value: Company[i], Vehicle[i], Person[o].
+  // Example 2.1's path Pe = Person.owns.man.name.
+  constexpr char kPe[] = "pe";
+  CheckOk(db_.RegisterPath(
+      kPe, Path::Create(setup_.schema, setup_.person, {"owns", "man", "name"})
+               .value()));
   CheckOk(db_.ConfigureIndexes(
-      Path::Create(setup_.schema, setup_.person, {"owns", "man", "name"})
-          .value(),
-      IndexConfiguration({{Subpath{1, 3}, IndexOrg::kNIX}})));
-  EXPECT_EQ(db_.Query(Key::FromString("Renault"), setup_.person).value(),
+      kPe, IndexConfiguration({{Subpath{1, 3}, IndexOrg::kNIX}})));
+  EXPECT_EQ(db_.Query(kPe, Key::FromString("Renault"), setup_.person).value(),
             (std::vector<Oid>{per_o_}));
-  EXPECT_EQ(db_.Query(Key::FromString("Renault"), setup_.vehicle).value(),
+  EXPECT_EQ(db_.Query(kPe, Key::FromString("Renault"), setup_.vehicle).value(),
             (std::vector<Oid>{veh_i_}));
-  EXPECT_EQ(db_.Query(Key::FromString("Renault"), setup_.company).value(),
+  EXPECT_EQ(db_.Query(kPe, Key::FromString("Renault"), setup_.company).value(),
             (std::vector<Oid>{comp_i_}));
   // Fiat reaches Vehicle[j], Bus[i], Truck[i] and Persons p, q.
-  EXPECT_EQ(
-      db_.Query(Key::FromString("Fiat"), setup_.vehicle, true).value().size(),
-      3u);
-  EXPECT_EQ(db_.Query(Key::FromString("Fiat"), setup_.person).value(),
+  EXPECT_EQ(db_.Query(kPe, Key::FromString("Fiat"), setup_.vehicle, true)
+                .value()
+                .size(),
+            3u);
+  EXPECT_EQ(db_.Query(kPe, Key::FromString("Fiat"), setup_.person).value(),
             (std::vector<Oid>{per_p_, per_q_}));
 }
 

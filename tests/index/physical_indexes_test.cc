@@ -11,10 +11,12 @@ namespace pathix {
 namespace {
 
 constexpr int kDistinctNames = 15;
+constexpr char kPeople[] = "people";
 
 /// Builds a populated vehicle database (Figure 1 shape, small scale).
 struct TestDb {
   TestDb() : setup(MakeExample51Setup()), db(setup.schema, PhysicalParams{}) {
+    CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(/*seed=*/1234);
     created = gen.Populate(
         &db, setup.path,
@@ -52,7 +54,7 @@ class PhysicalConfigTest
 
 TEST_P(PhysicalConfigTest, IndexedMatchesNaiveForEveryValueAndClass) {
   TestDb t;
-  ASSERT_TRUE(t.db.ConfigureIndexes(t.setup.path, GetParam()).ok());
+  ASSERT_TRUE(t.db.ConfigureIndexes(kPeople, GetParam()).ok());
   ASSERT_TRUE(t.db.ValidateIndexesDeep().ok())
       << t.db.ValidateIndexesDeep().ToString();
 
@@ -63,8 +65,8 @@ TEST_P(PhysicalConfigTest, IndexedMatchesNaiveForEveryValueAndClass) {
     const Key value = Key::FromString(EndingValue(i));
     for (ClassId target : targets) {
       for (bool subclasses : {false, true}) {
-        auto indexed = t.db.Query(value, target, subclasses);
-        auto naive = t.db.QueryNaive(value, target, subclasses);
+        auto indexed = t.db.Query(kPeople, value, target, subclasses);
+        auto naive = t.db.QueryNaive(kPeople, value, target, subclasses);
         ASSERT_TRUE(indexed.ok());
         ASSERT_TRUE(naive.ok());
         ASSERT_EQ(Sorted(indexed.value()), Sorted(naive.value()))
@@ -77,7 +79,7 @@ TEST_P(PhysicalConfigTest, IndexedMatchesNaiveForEveryValueAndClass) {
 
 TEST_P(PhysicalConfigTest, StaysConsistentUnderRandomUpdates) {
   TestDb t;
-  ASSERT_TRUE(t.db.ConfigureIndexes(t.setup.path, GetParam()).ok());
+  ASSERT_TRUE(t.db.ConfigureIndexes(kPeople, GetParam()).ok());
 
   std::mt19937 rng(777);
   std::vector<ClassId> classes = {t.setup.person, t.setup.vehicle,
@@ -138,8 +140,9 @@ TEST_P(PhysicalConfigTest, StaysConsistentUnderRandomUpdates) {
   for (int i = 0; i < kDistinctNames; ++i) {
     const Key value = Key::FromString(EndingValue(i));
     for (ClassId target : classes) {
-      auto indexed = t.db.Query(value, target, /*include_subclasses=*/true);
-      auto naive = t.db.QueryNaive(value, target, true);
+      auto indexed =
+          t.db.Query(kPeople, value, target, /*include_subclasses=*/true);
+      auto naive = t.db.QueryNaive(kPeople, value, target, true);
       ASSERT_TRUE(indexed.ok());
       ASSERT_EQ(Sorted(indexed.value()), Sorted(naive.value()))
           << "value=" << value.ToString() << " target=" << target;
@@ -171,22 +174,19 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PhysicalCountingTest, NIXQueriesAreCheaperThanMXChains) {
   TestDb t_nix;
   ASSERT_TRUE(
-      t_nix.db.ConfigureIndexes(t_nix.setup.path, WholePath(IndexOrg::kNIX))
-          .ok());
+      t_nix.db.ConfigureIndexes(kPeople, WholePath(IndexOrg::kNIX)).ok());
   TestDb t_mx;
-  ASSERT_TRUE(
-      t_mx.db.ConfigureIndexes(t_mx.setup.path, WholePath(IndexOrg::kMX))
-          .ok());
+  ASSERT_TRUE(t_mx.db.ConfigureIndexes(kPeople, WholePath(IndexOrg::kMX)).ok());
 
   std::uint64_t nix_reads = 0;
   std::uint64_t mx_reads = 0;
   for (int i = 0; i < kDistinctNames; ++i) {
     const Key value = Key::FromString(EndingValue(i));
     t_nix.db.pager().ResetStats();
-    ASSERT_TRUE(t_nix.db.Query(value, t_nix.setup.person).ok());
+    ASSERT_TRUE(t_nix.db.Query(kPeople, value, t_nix.setup.person).ok());
     nix_reads += t_nix.db.pager().stats().total();
     t_mx.db.pager().ResetStats();
-    ASSERT_TRUE(t_mx.db.Query(value, t_mx.setup.person).ok());
+    ASSERT_TRUE(t_mx.db.Query(kPeople, value, t_mx.setup.person).ok());
     mx_reads += t_mx.db.pager().stats().total();
   }
   // The paper's central premise: one primary probe beats a 4-level chain
@@ -196,15 +196,15 @@ TEST(PhysicalCountingTest, NIXQueriesAreCheaperThanMXChains) {
 
 TEST(PhysicalCountingTest, NaiveEvaluationIsFarMoreExpensive) {
   TestDb t;
-  ASSERT_TRUE(t.db.ConfigureIndexes(t.setup.path, PaperOptimal()).ok());
+  ASSERT_TRUE(t.db.ConfigureIndexes(kPeople, PaperOptimal()).ok());
   const Key value = Key::FromString(EndingValue(3));
 
   t.db.pager().ResetStats();
-  auto indexed = t.db.Query(value, t.setup.person);
+  auto indexed = t.db.Query(kPeople, value, t.setup.person);
   const std::uint64_t indexed_cost = t.db.pager().stats().total();
 
   t.db.pager().ResetStats();
-  auto naive = t.db.QueryNaive(value, t.setup.person);
+  auto naive = t.db.QueryNaive(kPeople, value, t.setup.person);
   const std::uint64_t naive_cost = t.db.pager().stats().total();
 
   ASSERT_TRUE(indexed.ok());
@@ -215,8 +215,8 @@ TEST(PhysicalCountingTest, NaiveEvaluationIsFarMoreExpensive) {
 
 TEST(PhysicalCountingTest, IndexStoragePagesAreReported) {
   TestDb t;
-  ASSERT_TRUE(t.db.ConfigureIndexes(t.setup.path, PaperOptimal()).ok());
-  EXPECT_GT(t.db.physical().total_pages(), 4u);
+  ASSERT_TRUE(t.db.ConfigureIndexes(kPeople, PaperOptimal()).ok());
+  EXPECT_GT(t.db.physical(kPeople).total_pages(), 4u);
 }
 
 // --------------------------------------------------------- NIX specifics
@@ -231,6 +231,7 @@ TEST(NIXPhysicalTest, NumchildDrivesDeferredRemoval) {
   const Path path =
       Path::Create(schema, per, {"owns", "man", "divs", "name"}).value();
   SimDatabase db(schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, path));
 
   const Oid d1 = db.Insert(divi, {{"name", {Value::Str("alpha")}}});
   const Oid c1 = db.Insert(comp, {{"divs", {Value::Ref(d1)}}});
@@ -239,21 +240,21 @@ TEST(NIXPhysicalTest, NumchildDrivesDeferredRemoval) {
   const Oid p1 =
       db.Insert(per, {{"owns", {Value::Ref(b1), Value::Ref(b2)}}});
 
-  ASSERT_TRUE(db.ConfigureIndexes(path, WholePath(IndexOrg::kNIX)).ok());
+  ASSERT_TRUE(db.ConfigureIndexes(kPeople, WholePath(IndexOrg::kNIX)).ok());
   ASSERT_TRUE(db.ValidateIndexesDeep().ok());
 
   const Key alpha = Key::FromString("alpha");
-  EXPECT_EQ(db.Query(alpha, per).value(), (std::vector<Oid>{p1}));
+  EXPECT_EQ(db.Query(kPeople, alpha, per).value(), (std::vector<Oid>{p1}));
 
   ASSERT_TRUE(db.Delete(b1).ok());
   ASSERT_TRUE(db.ValidateIndexesDeep().ok())
       << db.ValidateIndexesDeep().ToString();
-  EXPECT_EQ(db.Query(alpha, per).value(), (std::vector<Oid>{p1}));
+  EXPECT_EQ(db.Query(kPeople, alpha, per).value(), (std::vector<Oid>{p1}));
 
   ASSERT_TRUE(db.Delete(b2).ok());
   ASSERT_TRUE(db.ValidateIndexesDeep().ok())
       << db.ValidateIndexesDeep().ToString();
-  EXPECT_TRUE(db.Query(alpha, per).value().empty());
+  EXPECT_TRUE(db.Query(kPeople, alpha, per).value().empty());
 }
 
 TEST(NIXPhysicalTest, BoundaryDeleteDropsKeyRecordAndPointers) {
@@ -262,6 +263,7 @@ TEST(NIXPhysicalTest, BoundaryDeleteDropsKeyRecordAndPointers) {
   const Path path =
       Path::Create(schema, per, {"owns", "man", "divs", "name"}).value();
   SimDatabase db(schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, path));
 
   const Oid d1 = db.Insert(divi, {{"name", {Value::Str("alpha")}}});
   const Oid c1 = db.Insert(comp, {{"divs", {Value::Ref(d1)}}});
@@ -270,15 +272,15 @@ TEST(NIXPhysicalTest, BoundaryDeleteDropsKeyRecordAndPointers) {
   (void)p1;
 
   // Split configuration: the NIX on [1,2] is keyed by Company oids.
-  ASSERT_TRUE(db.ConfigureIndexes(path, PaperOptimal()).ok());
+  ASSERT_TRUE(db.ConfigureIndexes(kPeople, PaperOptimal()).ok());
   ASSERT_TRUE(db.ValidateIndexesDeep().ok());
 
   // Deleting the company triggers OnBoundaryDelete on the NIX.
   ASSERT_TRUE(db.Delete(c1).ok());
   ASSERT_TRUE(db.ValidateIndexesDeep().ok())
       << db.ValidateIndexesDeep().ToString();
-  EXPECT_TRUE(db.Query(Key::FromString("alpha"), per).value().empty());
-  EXPECT_EQ(db.Query(Key::FromString("alpha"), divi).value(),
+  EXPECT_TRUE(db.Query(kPeople, Key::FromString("alpha"), per).value().empty());
+  EXPECT_EQ(db.Query(kPeople, Key::FromString("alpha"), divi).value(),
             (std::vector<Oid>{d1}));
 }
 
@@ -288,19 +290,20 @@ TEST(NIXPhysicalTest, InsertWiresParentsThroughAuxIndex) {
   const Path path =
       Path::Create(schema, per, {"owns", "man", "divs", "name"}).value();
   SimDatabase db(schema, PhysicalParams{});
+  CheckOk(db.RegisterPath(kPeople, path));
 
   const Oid d1 = db.Insert(divi, {{"name", {Value::Str("alpha")}}});
   const Oid c1 = db.Insert(comp, {{"divs", {Value::Ref(d1)}}});
-  ASSERT_TRUE(db.ConfigureIndexes(path, WholePath(IndexOrg::kNIX)).ok());
+  ASSERT_TRUE(db.ConfigureIndexes(kPeople, WholePath(IndexOrg::kNIX)).ok());
 
   // Insert a vehicle, then a person, after the index exists.
   const Oid v1 = db.Insert(veh, {{"man", {Value::Ref(c1)}}});
   const Oid p1 = db.Insert(per, {{"owns", {Value::Ref(v1)}}});
   ASSERT_TRUE(db.ValidateIndexesDeep().ok())
       << db.ValidateIndexesDeep().ToString();
-  EXPECT_EQ(db.Query(Key::FromString("alpha"), per).value(),
+  EXPECT_EQ(db.Query(kPeople, Key::FromString("alpha"), per).value(),
             (std::vector<Oid>{p1}));
-  EXPECT_EQ(db.Query(Key::FromString("alpha"), veh).value(),
+  EXPECT_EQ(db.Query(kPeople, Key::FromString("alpha"), veh).value(),
             (std::vector<Oid>{v1}));
 }
 

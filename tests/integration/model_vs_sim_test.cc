@@ -15,9 +15,11 @@ namespace pathix {
 namespace {
 
 constexpr int kDistinct = 40;
+constexpr char kPeople[] = "people";
 
 struct Instance {
   Instance() : setup(MakeExample51Setup()), db(setup.schema, PhysicalParams{}) {
+    CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(31415);
     gen.Populate(&db, setup.path,
                  {
@@ -37,8 +39,9 @@ struct Instance {
     const int n = 20;
     for (int i = 0; i < n; ++i) {
       db.pager().ResetStats();
-      CheckOk(db.Query(Key::FromString(EndingValue(i % kDistinct)), target)
-                  .status());
+      CheckOk(
+          db.Query(kPeople, Key::FromString(EndingValue(i % kDistinct)), target)
+              .status());
       total += static_cast<double>(db.pager().stats().total());
     }
     return total / n;
@@ -55,7 +58,7 @@ TEST_P(ModelVsSimTest, QueryPredictionsWithinTolerance) {
   const IndexOrg org = GetParam();
   Instance inst;
   CheckOk(inst.db.ConfigureIndexes(
-      inst.setup.path, IndexConfiguration({{Subpath{1, 4}, org}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, org}})));
   LoadDistribution load;
   const PathContext ctx = PathContext::Build(inst.setup.schema,
                                              inst.setup.path, inst.catalog,
@@ -95,7 +98,7 @@ TEST(ModelVsSimRankingTest, DeepQueryRankingAgrees) {
   for (int i = 0; i < 3; ++i) {
     Instance inst;
     CheckOk(inst.db.ConfigureIndexes(
-        inst.setup.path, IndexConfiguration({{Subpath{1, 4}, orgs[i]}})));
+        kPeople, IndexConfiguration({{Subpath{1, 4}, orgs[i]}})));
     LoadDistribution load;
     const PathContext ctx = PathContext::Build(inst.setup.schema,
                                                inst.setup.path, inst.catalog,
@@ -119,7 +122,7 @@ TEST(ModelVsSimRankingTest, NIXMaintenanceCostlierThanMXInBoth) {
   for (int i = 0; i < 2; ++i) {
     Instance inst;
     CheckOk(inst.db.ConfigureIndexes(
-        inst.setup.path, IndexConfiguration({{Subpath{1, 4}, orgs[i]}})));
+        kPeople, IndexConfiguration({{Subpath{1, 4}, orgs[i]}})));
     LoadDistribution load;
     const PathContext ctx = PathContext::Build(inst.setup.schema,
                                                inst.setup.path, inst.catalog,

@@ -48,6 +48,7 @@ TEST(BuildCostPropertyTest, MeasuredBuildIoTracksTheAnalyticEstimate) {
     std::mt19937 rng(seed);
     const PaperSetup setup = MakeExample51Setup();
     SimDatabase db(setup.schema, PhysicalParams{});
+    CheckOk(db.RegisterPath("people", setup.path));
     PathDataGenerator gen(seed);
     gen.Populate(&db, setup.path,
                  {
@@ -70,7 +71,7 @@ TEST(BuildCostPropertyTest, MeasuredBuildIoTracksTheAnalyticEstimate) {
     const TransitionCost analytic =
         EstimateJointTransitionCost({{&ctx, nullptr, &config}}, db.store());
 
-    CheckOk(db.ConfigureIndexes(setup.path, config));
+    CheckOk(db.ConfigureIndexes("people", config));
     const AccessStats measured = db.registry().cumulative_build_io();
 
     SCOPED_TRACE("seed " + std::to_string(seed) + " config " +
@@ -91,7 +92,7 @@ TEST(BuildCostPropertyTest, MeasuredBuildIoTracksTheAnalyticEstimate) {
     // (every part was fresh — nothing was adopted).
     AccessStats per_part;
     for (std::size_t i = 0; i < config.parts().size(); ++i) {
-      per_part += db.physical().part(i)->index->build_io();
+      per_part += db.physical("people").part(i)->index->build_io();
     }
     EXPECT_EQ(per_part, measured);
   }

@@ -13,10 +13,12 @@ namespace pathix {
 namespace {
 
 constexpr int kDistinct = 40;
+constexpr char kPeople[] = "people";
 
 /// A populated Example 5.1 database at laptop scale.
 struct Instance {
   Instance() : setup(MakeExample51Setup()), db(setup.schema, PhysicalParams{}) {
+    CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(2718);
     gen.Populate(&db, setup.path,
                  {
@@ -44,11 +46,11 @@ TEST(TransitionCostTest, UnchangedPartsAreFree) {
   Instance inst;
   const IndexConfiguration config(
       {{Subpath{1, 3}, IndexOrg::kNIX}, {Subpath{4, 4}, IndexOrg::kMX}});
-  CheckOk(inst.db.ConfigureIndexes(inst.setup.path, config));
+  CheckOk(inst.db.ConfigureIndexes(kPeople, config));
   const PathContext ctx = inst.Context(LoadDistribution{});
 
   const TransitionCost same = EstimateJointTransitionCost(
-      {{&ctx, &inst.db.physical(), &config}}, inst.db.store());
+      {{&ctx, &inst.db.physical(kPeople), &config}}, inst.db.store());
   EXPECT_DOUBLE_EQ(same.total(), 0.0);
 
   // Changing only the tail drops/builds the tail part; the [1,3] NIX stays
@@ -56,13 +58,13 @@ TEST(TransitionCostTest, UnchangedPartsAreFree) {
   const IndexConfiguration retail(
       {{Subpath{1, 3}, IndexOrg::kNIX}, {Subpath{4, 4}, IndexOrg::kMIX}});
   const TransitionCost tail = EstimateJointTransitionCost(
-      {{&ctx, &inst.db.physical(), &retail}}, inst.db.store());
+      {{&ctx, &inst.db.physical(kPeople), &retail}}, inst.db.store());
   EXPECT_GT(tail.total(), 0.0);
 
   const IndexConfiguration reorg(
       {{Subpath{1, 4}, IndexOrg::kNIX}});
   const TransitionCost full = EstimateJointTransitionCost(
-      {{&ctx, &inst.db.physical(), &reorg}}, inst.db.store());
+      {{&ctx, &inst.db.physical(kPeople), &reorg}}, inst.db.store());
   EXPECT_GT(full.drop_pages, tail.drop_pages);
   EXPECT_GT(full.scan_pages, tail.scan_pages);
 }
@@ -78,9 +80,9 @@ TEST(TransitionCostTest, NonePartsBuildForFree) {
   EXPECT_DOUBLE_EQ(from_scratch.total(), 0.0);
 
   CheckOk(inst.db.ConfigureIndexes(
-      inst.setup.path, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMX}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMX}})));
   const TransitionCost drop_to_none = EstimateJointTransitionCost(
-      {{&ctx, &inst.db.physical(), &all_none}}, inst.db.store());
+      {{&ctx, &inst.db.physical(kPeople), &all_none}}, inst.db.store());
   EXPECT_GT(drop_to_none.drop_pages, 0.0);  // the MX pages are freed ...
   EXPECT_DOUBLE_EQ(drop_to_none.scan_pages, 0.0);  // ... nothing is built
   EXPECT_DOUBLE_EQ(drop_to_none.write_pages, 0.0);
@@ -100,40 +102,32 @@ TEST(TransitionCostTest, FromScratchPricesEveryPart) {
 TEST(ReconfigureIndexesTest, ReusesIdenticalPartsPhysically) {
   Instance inst;
   CheckOk(inst.db.ConfigureIndexes(
-      inst.setup.path,
+      kPeople,
       IndexConfiguration(
           {{Subpath{1, 3}, IndexOrg::kNIX}, {Subpath{4, 4}, IndexOrg::kMX}})));
-  const SubpathIndex* kept = inst.db.physical().indexes()[0];
+  const SubpathIndex* kept = inst.db.physical(kPeople).indexes()[0];
 
-  CheckOk(inst.db.ReconfigureIndexes(IndexConfiguration(
-      {{Subpath{1, 3}, IndexOrg::kNIX}, {Subpath{4, 4}, IndexOrg::kMIX}})));
+  CheckOk(inst.db.ReconfigureIndexes(
+      kPeople, IndexConfiguration({{Subpath{1, 3}, IndexOrg::kNIX},
+                                   {Subpath{4, 4}, IndexOrg::kMIX}})));
   // The [1,3] NIX is the same physical object, not a rebuild.
-  EXPECT_EQ(inst.db.physical().indexes()[0], kept);
-  EXPECT_EQ(inst.db.physical().indexes()[1]->org(), IndexOrg::kMIX);
+  EXPECT_EQ(inst.db.physical(kPeople).indexes()[0], kept);
+  EXPECT_EQ(inst.db.physical(kPeople).indexes()[1]->org(), IndexOrg::kMIX);
   CheckOk(inst.db.ValidateIndexesDeep());
 
   // The reused configuration keeps answering queries and absorbing updates.
+  const Key value = Key::FromString(EndingValue(3));
   const Result<std::vector<Oid>> indexed =
-      inst.db.Query(Key::FromString(EndingValue(3)), inst.setup.person);
+      inst.db.Query(kPeople, value, inst.setup.person);
   const Result<std::vector<Oid>> naive =
-      inst.db.QueryNaive(Key::FromString(EndingValue(3)), inst.setup.person);
+      inst.db.QueryNaive(kPeople, value, inst.setup.person);
   CheckOk(indexed.status());
   CheckOk(naive.status());
   EXPECT_EQ(indexed.value(), naive.value());
 }
 
-TEST(ReconfigureIndexesTest, RequiresAConfiguredPath) {
-  Instance inst;
-  EXPECT_FALSE(
-      inst.db
-          .ReconfigureIndexes(
-              IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMX}}))
-          .ok());
-}
-
 TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
   Instance inst;
-  CheckOk(inst.db.RegisterPath(kDefaultPathId, inst.setup.path));
   ControllerOptions options;
   options.warmup_ops = 50;
   options.check_interval_ops = 50;
@@ -141,19 +135,18 @@ TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
   inst.db.SetObserver(&controller);
 
   for (int i = 0; i < 50; ++i) {
-    CheckOk(inst.db.QueryNaive(Key::FromString(EndingValue(i % kDistinct)),
-                               inst.setup.person)
-                .status());
+    const Key value = Key::FromString(EndingValue(i % kDistinct));
+    CheckOk(inst.db.QueryNaive(kPeople, value, inst.setup.person).status());
   }
   inst.db.SetObserver(nullptr);
 
   CheckOk(controller.status());
-  EXPECT_TRUE(inst.db.has_indexes());
+  EXPECT_TRUE(inst.db.has_indexes(kPeople));
   ASSERT_EQ(controller.events().size(), 1u);
   EXPECT_TRUE(controller.events()[0].initial);
   EXPECT_GT(controller.transition_pages_charged(), 0.0);
   // A pure query load never indexes nothing.
-  EXPECT_GT(inst.db.physical().config().degree(), 0);
+  EXPECT_GT(inst.db.physical(kPeople).config().degree(), 0);
 }
 
 TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
@@ -164,24 +157,23 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   // far the worst choice.
   Instance inst;
   CheckOk(inst.db.ConfigureIndexes(
-      inst.setup.path,
-      IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNone}})));
+      kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNone}})));
   ControllerOptions options;
   options.warmup_ops = 50;
   options.check_interval_ops = 50;
   JointReconfigurationController controller(&inst.db, options);
   inst.db.SetObserver(&controller);
   for (int i = 0; i < 300; ++i) {
-    CheckOk(inst.db.Query(Key::FromString(EndingValue(i % kDistinct)),
-                          inst.setup.person)
-                .status());
+    const Key value = Key::FromString(EndingValue(i % kDistinct));
+    CheckOk(inst.db.Query(kPeople, value, inst.setup.person).status());
   }
   inst.db.SetObserver(nullptr);
   CheckOk(controller.status());
   ASSERT_FALSE(controller.events().empty());
   EXPECT_FALSE(controller.events()[0].initial);  // it was a switch
   bool still_none = false;
-  for (const IndexedSubpath& part : inst.db.physical().config().parts()) {
+  for (const IndexedSubpath& part :
+       inst.db.physical(kPeople).config().parts()) {
     if (part.org == IndexOrg::kNone) still_none = true;
   }
   EXPECT_FALSE(still_none);
@@ -189,7 +181,6 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
 
 TEST(ControllerTest, ScopedAnalyzeRecollectsOnlyDriftedClasses) {
   Instance inst;
-  CheckOk(inst.db.RegisterPath(kDefaultPathId, inst.setup.path));
   JointReconfigurationController controller(&inst.db);
 
   // First check: the initial collection covers all six scope classes
@@ -221,7 +212,6 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
   // one must never switch after its initial install.
   for (const bool reluctant : {false, true}) {
     Instance inst;
-    CheckOk(inst.db.RegisterPath(kDefaultPathId, inst.setup.path));
     ControllerOptions options;
     options.warmup_ops = 50;
     options.check_interval_ops = 50;
@@ -233,9 +223,8 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
     inst.db.SetObserver(&controller);
 
     for (int i = 0; i < 400; ++i) {
-      CheckOk(inst.db.QueryNaive(Key::FromString(EndingValue(i % kDistinct)),
-                                 inst.setup.person)
-                  .status());
+      const Key value = Key::FromString(EndingValue(i % kDistinct));
+      CheckOk(inst.db.QueryNaive(kPeople, value, inst.setup.person).status());
     }
     // Hard shift to update-heavy traffic on Person.
     for (int i = 0; i < 800; ++i) {

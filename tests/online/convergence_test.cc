@@ -46,6 +46,7 @@ TEST(ConvergenceTest, StationaryTraceConvergesToOfflinePickAndNeverThrashes) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const TraceSpec& spec = parsed.value();
   ASSERT_EQ(spec.paths.size(), 1u);
+  const PathId& id = spec.paths[0].id;
   const Path& path = spec.paths[0].path;
 
   SimDatabase db(spec.schema, spec.catalog.params());
@@ -67,12 +68,12 @@ TEST(ConvergenceTest, StationaryTraceConvergesToOfflinePickAndNeverThrashes) {
 
   // ... and it is the offline advisor's pick for the true (stationary)
   // loads on the live data.
-  ASSERT_TRUE(db.has_indexes());
+  ASSERT_TRUE(db.has_indexes(id));
   Result<OptimizeResult> offline = OfflineOptimum(
       db, path, spec.options.orgs, spec.phases[0].mix());
   ASSERT_TRUE(offline.ok()) << offline.status().ToString();
-  EXPECT_EQ(db.physical().config(), offline.value().config)
-      << "online: " << db.physical().config().ToString()
+  EXPECT_EQ(db.physical(id).config(), offline.value().config)
+      << "online: " << db.physical(id).config().ToString()
       << " offline: " << offline.value().config.ToString();
 
   // The controller kept checking (drift checks ran) — it just had no

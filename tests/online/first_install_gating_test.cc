@@ -12,7 +12,7 @@ namespace pathix {
 namespace {
 
 constexpr int kDistinct = 40;
-/// The one registered path's id (a named path, not kDefaultPathId).
+/// The one registered path's id.
 constexpr char kPath[] = "people";
 
 struct Instance {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
+#include "online/joint_experiment.h"
 #include "online/measured_validation.h"
 
 namespace pathix {
@@ -80,12 +84,29 @@ TEST(MeasuredValidationTest, SmallTraceProducesComparableCells) {
   }
 }
 
-TEST(MeasuredValidationTest, RejectsModelOnlyOrganizations) {
+// Both trace runners reject unreplayable specs through one shared guard:
+// NX/PX are model-only organizations, and a replay needs a path.
+TEST(MeasuredValidationTest, RunnersShareTheReplayGuard) {
+  std::string nx_text = kSmallSpec;
+  const std::string orgs_line = "orgs MX NIX NONE";
+  nx_text.replace(nx_text.find(orgs_line), orgs_line.size(), "orgs MX NX");
+  Result<TraceSpec> nx = ParseTraceSpec(nx_text);
+  ASSERT_TRUE(nx.ok()) << nx.status().ToString();
+
   Result<TraceSpec> parsed = ParseTraceSpec(kSmallSpec);
-  ASSERT_TRUE(parsed.ok());
-  TraceSpec spec = parsed.value();
-  spec.options.orgs = {IndexOrg::kNX};
-  EXPECT_FALSE(RunMeasuredVsModeled(spec).ok());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  TraceSpec no_paths = parsed.value();
+  no_paths.paths.clear();
+
+  const std::pair<const TraceSpec*, StatusCode> cases[] = {
+      {&nx.value(), StatusCode::kFailedPrecondition},
+      {&no_paths, StatusCode::kInvalidArgument}};
+  for (const auto& [spec, code] : cases) {
+    EXPECT_EQ(RunMeasuredVsModeled(*spec).status().code(), code);
+    EXPECT_EQ(
+        RunJointOnlineExperiment(*spec, ControllerOptions{}).status().code(),
+        code);
+  }
 }
 
 }  // namespace
