@@ -52,8 +52,10 @@ TraceSpec MakeFlippingTrace(std::uint64_t phase_ops, int flips) {
 
 int CountSwitches(const JointExperimentReport& r) {
   int switches = 0;
-  for (const JointReconfigurationEvent& ev : r.events) {
-    if (!ev.initial) ++switches;
+  for (const PhaseReport& phase : r.online.phases) {
+    for (const DecisionRecord& rec : phase.decisions) {
+      if (rec.verdict == "switch") ++switches;
+    }
   }
   return switches;
 }

@@ -138,8 +138,10 @@ RunStats Run(const TraceSpec& spec) {
   s.online_measured = r.online.measured_total_cost();
   s.oracle = r.oracle.total_cost();
   s.best_static = r.best_static_joint_cost();
-  for (const JointReconfigurationEvent& ev : r.events) {
-    if (!ev.initial) ++s.switches;
+  for (const PhaseReport& phase : r.online.phases) {
+    for (const DecisionRecord& rec : phase.decisions) {
+      if (rec.verdict == "switch") ++s.switches;
+    }
   }
   s.millis =
       std::chrono::duration<double, std::milli>(end - start).count();

@@ -6,14 +6,16 @@
 //   $ ./examples/pathix_explain --check=7 ledger.jsonl
 //
 // Without flags: the run's parameters, the per-phase decision timeline
-// (every drift check's verdict with its hysteresis margin), and the phase
-// summaries (ops, pages, windowed latency/page percentiles).
+// (every drift check's verdict with its hysteresis margin, and under each
+// commit the per-path `path: from -> to` changes), and the phase summaries
+// (ops, pages, windowed latency/page percentiles).
 //
 // --check=N drills into one decision: the workload estimate the controller
 // saw, the solver's search stats, the full scored candidate table with each
 // candidate's why-not margin ("why was candidate X rejected at check N"),
-// and the hysteresis inequality exactly as evaluated — modeled side next to
-// the pager-measured side when the check committed.
+// the hysteresis inequality exactly as evaluated — modeled side next to
+// the pager-measured side when the check committed — and a commit's
+// configuration changes.
 //
 // Exit status: 0 on success, 1 on usage/IO errors, 2 on schema drift (the
 // ledger's schema_version does not match this binary, a record is missing
@@ -75,8 +77,8 @@ bool ValidateRecord(const JsonValue& v, std::string* why) {
   if (type == "decision") {
     return HasAll(v,
                   {"check", "op_index", "controller", "phase", "verdict",
-                   "hold_reason", "workload", "search", "candidates",
-                   "hysteresis"},
+                   "hold_reason", "changes", "workload", "search",
+                   "candidates", "hysteresis"},
                   why) &&
            HasAll(*v.Find("hysteresis"),
                   {"evaluated", "current_cost_per_op", "best_cost_per_op",
@@ -118,8 +120,16 @@ void PrintMeta(const JsonValue& meta) {
   }
 }
 
+// A commit's configuration changes, one `path: from -> to` line each.
+void PrintChanges(const char* indent, const JsonValue& d) {
+  for (const JsonValue& c : d.Find("changes")->array()) {
+    std::printf("%s%s: %s -> %s\n", indent, c.StringAt("path").c_str(),
+                c.StringAt("from").c_str(), c.StringAt("to").c_str());
+  }
+}
+
 // One timeline line per decision: the verdict plus the margin that decided
-// it (hysteresis lhs vs rhs when evaluated).
+// it (hysteresis lhs vs rhs when evaluated), and a commit's changes.
 void PrintTimelineLine(const JsonValue& d) {
   const JsonValue* h = d.Find("hysteresis");
   const std::string verdict = d.StringAt("verdict");
@@ -143,6 +153,7 @@ void PrintTimelineLine(const JsonValue& d) {
     std::printf(")");
   }
   std::printf("\n");
+  PrintChanges("      ", d);
 }
 
 void PrintPhaseSummary(const JsonValue& p) {
@@ -189,7 +200,9 @@ void PrintDecisionDetail(const JsonValue& d) {
   if (verdict == "hold") {
     std::printf(" (%s)", d.StringAt("hold_reason").c_str());
   }
-  std::printf("\n\nworkload estimate (decayed, normalized):\n");
+  std::printf("\n");
+  PrintChanges("  ", d);
+  std::printf("\nworkload estimate (decayed, normalized):\n");
   for (const JsonValue& e : d.Find("workload")->Find("load")->array()) {
     const std::string path = e.StringAt("path");
     std::printf("  %s%s%-14s query=%-8.4f insert=%-8.4f delete=%.4f\n",

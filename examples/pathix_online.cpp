@@ -27,8 +27,7 @@
 //   --metrics            print an online-run metrics summary to stdout
 //   --metrics-out=FILE   Prometheus text exposition of the online run's
 //                        final metrics snapshot
-//   --metrics-json=FILE  structured JSON: the same snapshot plus the
-//                        controller's reconfiguration event log
+//   --metrics-json=FILE  the same snapshot as structured JSON
 //   --trace-out=FILE     span trace of the online run in Trace Event
 //                        Format — loads in chrome://tracing / Perfetto
 //   --decisions-out=FILE decision ledger (JSONL): one meta line, one
@@ -65,7 +64,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "online/decision_record.h"
-#include "online/event_json.h"
 #include "online/joint_experiment.h"
 #include "online/measured_validation.h"
 
@@ -155,7 +153,7 @@ int PrintMeasuredVsModeled(const pathix::TraceSpec& s) {
 
 struct ObsFlags {
   std::string metrics_out;   ///< --metrics-out=FILE (Prometheus text)
-  std::string metrics_json;  ///< --metrics-json=FILE (snapshot + events)
+  std::string metrics_json;  ///< --metrics-json=FILE (JSON snapshot)
   std::string trace_out;     ///< --trace-out=FILE (Trace Event JSON)
   std::string decisions_out;  ///< --decisions-out=FILE (JSONL ledger)
   std::string spec_label;     ///< spec path (or the embedded-demo label)
@@ -288,11 +286,11 @@ void PrintMetricsSummary(const pathix::TraceSpec& s,
       m.Value("pathix_parts_build_io_total", {{"io", "read"}}),
       m.Value("pathix_parts_build_io_total", {{"io", "write"}}));
   std::printf(
-      "  controller: checks=%.0f reconfigurations=%.0f events_evicted=%.0f "
+      "  controller: checks=%.0f reconfigurations=%.0f decisions_evicted=%.0f "
       "transition pages modeled=%.0f measured=%.0f\n",
       m.Value("pathix_controller_checks_total"),
       m.Value("pathix_controller_reconfigurations_total"),
-      m.Value("pathix_controller_events_evicted_total"),
+      m.Value("pathix_controller_decisions_evicted_total"),
       m.Value("pathix_controller_transition_pages_total",
               {{"kind", "modeled"}}),
       m.Value("pathix_controller_transition_pages_total",
@@ -446,8 +444,6 @@ bool EmitObservability(const pathix::TraceSpec& s,
     w.Key("mode").Value(kController);
     w.Key("metrics");
     obs::WriteMetricsJson(&w, r.online_metrics);
-    w.Key("events");
-    WriteEventLog(&w, r.events);
     w.EndObject();
     if (!WriteFileOrWarn(flags.metrics_json, w.str() + "\n", "metrics-json")) {
       return false;
@@ -503,23 +499,25 @@ int Run(const pathix::TraceSpec& s, const ObsFlags& flags,
     }
   }
 
-  std::cout << "\nonline reconfiguration points (" << r.events.size()
+  // The online run's commit records, from its phases' decision slices.
+  std::vector<const DecisionRecord*> commits;
+  for (const PhaseReport& p : r.online.phases) {
+    for (const DecisionRecord& rec : p.decisions) {
+      if (rec.verdict != "hold") commits.push_back(&rec);
+    }
+  }
+  std::cout << "\nonline reconfiguration points (" << commits.size()
             << "):\n";
-  for (const JointReconfigurationEvent& ev : r.events) {
-    std::cout << "  op " << ev.op_index << ": "
-              << (ev.initial ? "install" : "switch");
-    if (!ev.initial) {
+  for (const DecisionRecord* rec : commits) {
+    std::cout << "  op " << rec->op_index << ": " << rec->verdict;
+    if (rec->verdict == "switch") {
       std::printf(" (predicted savings %.3f pages/op, transition %.0f pages)",
-                  ev.predicted_savings_per_op, ev.transition.total());
+                  rec->hysteresis.savings_per_op,
+                  rec->hysteresis.modeled.total());
     }
     std::cout << "\n";
-    for (const JointReconfigurationEvent::PathChange& change : ev.changes) {
-      const Path* path = nullptr;
-      for (const TracePath& tp : s.paths) {
-        if (tp.id == change.path) path = &tp.path;
-      }
-      std::cout << "    " << change.path << " -> "
-                << change.to.ToString(s.schema, *path) << "\n";
+    for (const DecisionChange& change : rec->changes) {
+      std::cout << "    " << change.path << " -> " << change.to << "\n";
     }
   }
 

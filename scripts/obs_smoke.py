@@ -8,16 +8,21 @@ Runs the binary on a trace spec with every export flag, then checks:
     prints the reconciliation line we also assert on);
   * the Prometheus text parses line by line (TYPE declarations, sanitized
     names, numeric values) and carries the expected metric families;
-  * the metrics JSON parses and its op counters are self-consistent with
-    the Prometheus rendering;
+  * the metrics JSON parses, carries exactly its `mode` and `metrics`
+    keys, and its op counters are self-consistent with the Prometheus
+    rendering;
   * the trace JSON parses, is non-empty, and every thread's B/E events
     form a properly nested span stack (what chrome://tracing requires);
   * the expected span names from the online reconfiguration stack appear;
   * the decision ledger JSONL parses line by line, starts with a schema-
     versioned meta record, every decision record carries the full audit
-    schema (workload, search stats, candidates, both hysteresis sides),
-    and its install/switch verdict count equals both the metrics-JSON
-    event list and pathix_controller_reconfigurations_total;
+    schema (workload, search stats, candidates, both hysteresis sides,
+    changes), and its install/switch verdict count equals
+    pathix_controller_reconfigurations_total;
+  * the ledger's commit records chain: holds change nothing, every commit
+    changes at least one path, and each change starts from the
+    configuration the previous commit of that path left ("{}" before its
+    first);
   * (for the shipped vehicle_joint_trace.pix) the ledger reproduces the
     shipped examples/ledgers/vehicle_joint_demo.jsonl field by field,
     except the meta record's spec path and the phase summaries' wall-clock
@@ -59,10 +64,10 @@ EXPECTED_FAMILIES = [
     "pathix_advisor_resolve_duration_us_bucket",
 ]
 
-LEDGER_SCHEMA_VERSION = 1
+LEDGER_SCHEMA_VERSION = 2
 DECISION_KEYS = ("check", "op_index", "controller", "phase", "verdict",
-                 "hold_reason", "workload", "search", "candidates",
-                 "hysteresis")
+                 "hold_reason", "changes", "workload", "search",
+                 "candidates", "hysteresis")
 HYSTERESIS_KEYS = ("evaluated", "current_cost_per_op", "best_cost_per_op",
                    "savings_per_op", "horizon_ops", "theta", "lhs_pages",
                    "modeled", "rhs_modeled_pages", "measured",
@@ -118,9 +123,8 @@ def check_prometheus(text):
 
 def check_metrics_json(path, prom_samples):
     doc = json.loads(Path(path).read_text())
-    for key in ("mode", "metrics", "events"):
-        if key not in doc:
-            fail(f"metrics JSON missing key {key!r}")
+    if sorted(doc) != ["metrics", "mode"]:
+        fail(f"metrics JSON keys {sorted(doc)} != ['metrics', 'mode']")
     by_name = {}
     for sample in doc["metrics"]:
         labels = tuple(sorted(sample.get("labels", {}).items()))
@@ -139,12 +143,6 @@ def check_metrics_json(path, prom_samples):
            if name == "pathix_db_ops_total"]
     if not ops or sum(s["value"] for s in ops) <= 0:
         fail("no database operations recorded in pathix_db_ops_total")
-    if not isinstance(doc["events"], list):
-        fail("events is not a list")
-    for event in doc["events"]:
-        if "op_index" not in event or "transition" not in event:
-            fail(f"malformed reconfiguration event: {event}")
-    return doc
 
 
 def check_trace(path):
@@ -182,7 +180,35 @@ def check_trace(path):
     return names
 
 
-def check_ledger(path, metrics_doc, prom_samples):
+def check_changes(i, rec, installed):
+    """Checks one decision record's changes against `installed`.
+
+    A hold changes nothing. A commit changes at least one path, each from
+    the configuration the previous commit of that path left ("{}" before
+    its first) to a different one. `installed` maps each path to the
+    configuration its latest commit left, and is updated here.
+    """
+    changes = rec["changes"]
+    if rec["verdict"] == "hold":
+        if changes:
+            fail(f"ledger line {i}: hold lists changes {changes}")
+        return
+    if not changes:
+        fail(f"ledger line {i}: commit changes no path")
+    for change in changes:
+        for key in ("path", "from", "to"):
+            if key not in change:
+                fail(f"ledger line {i}: change missing {key!r}")
+        want = installed.get(change["path"], "{}")
+        if change["from"] != want:
+            fail(f"ledger line {i}: {change['path']} changes from "
+                 f"{change['from']!r}, but the previous commit left {want!r}")
+        if change["to"] == change["from"]:
+            fail(f"ledger line {i}: {change['path']} changes to itself")
+        installed[change["path"]] = change["to"]
+
+
+def check_ledger(path, prom_samples):
     lines = Path(path).read_text().splitlines()
     if not lines:
         fail("decision ledger is empty")
@@ -204,6 +230,7 @@ def check_ledger(path, metrics_doc, prom_samples):
     commit_verdicts = 0
     decisions = 0
     phase_summaries = 0
+    installed = {}
     for i, rec in enumerate(records[1:], 2):
         kind = rec.get("type")
         if kind == "phase_summary":
@@ -236,16 +263,13 @@ def check_ledger(path, metrics_doc, prom_samples):
                 fail(f"ledger line {i}: hold without a hold_reason")
         else:
             fail(f"ledger line {i}: unknown verdict {verdict!r}")
+        check_changes(i, rec, installed)
     if decisions == 0:
         fail("ledger has no decision records")
     if phase_summaries != len(meta["phases"]):
         fail(f"{phase_summaries} phase summaries for "
              f"{len(meta['phases'])} phases")
-    # The same reconfiguration count must be visible in all three exports.
-    events = len(metrics_doc["events"])
-    if commit_verdicts != events:
-        fail(f"ledger commit verdicts {commit_verdicts} != metrics-JSON "
-             f"events {events}")
+    # The ledger and the metrics must count the same reconfigurations.
     recon = sum(v for (name, _), v in prom_samples.items()
                 if name == "pathix_controller_reconfigurations_total")
     if commit_verdicts != recon:
@@ -388,9 +412,9 @@ def main():
         if "decision ledger cross-check: ok" not in proc.stdout:
             fail("decision ledger cross-check line missing")
         prom = check_prometheus(Path(metrics_out).read_text())
-        doc = check_metrics_json(metrics_json, prom)
+        check_metrics_json(metrics_json, prom)
         names = check_trace(trace_out)
-        decisions = check_ledger(decisions_out, doc, prom)
+        decisions = check_ledger(decisions_out, prom)
         golden_note = ""
         if Path(spec).name == SHIPPED_LEDGER_SPEC:
             lines = check_shipped_ledger(decisions_out)

@@ -9,7 +9,6 @@ namespace pathix {
 
 namespace {
 
-constexpr double kCostEps = 1e-7;
 constexpr double kBytesEps = 1e-6;
 
 /// One enumerated configuration of one path, with everything the search
@@ -240,14 +239,15 @@ class JointSearcher {
   void Recurse(std::size_t i, double cost, double storage) {
     ++explored_;
     if (i == configs_.size()) {
-      if (cost < best_cost_ - kCostEps) {
+      if (cost < best_cost_ - kJointCostTolerance) {
         best_cost_ = cost;
         best_storage_ = storage;
         best_choice_ = choice_;
       }
       return;
     }
-    if (use_bound_ && cost + suffix_lb_[i] >= best_cost_ - kCostEps) {
+    if (use_bound_ &&
+        cost + suffix_lb_[i] >= best_cost_ - kJointCostTolerance) {
       ++pruned_;
       return;
     }
@@ -257,8 +257,8 @@ class JointSearcher {
     }
     for (std::size_t c = 0; c < configs_[i].size(); ++c) {
       const PerPathConfig& cfg = configs_[i][c];
-      if (use_bound_ &&
-          cost + cfg.lb + suffix_lb_[i + 1] >= best_cost_ - kCostEps) {
+      if (use_bound_ && cost + cfg.lb + suffix_lb_[i + 1] >=
+                            best_cost_ - kJointCostTolerance) {
         ++pruned_;
         break;  // configs sorted by lb: every later one is bounded too
       }

@@ -19,9 +19,10 @@
 ///
 /// subject to  sum_{distinct entries E used} storage(E) <= budget.
 ///
-/// This generalizes the greedy merge of AdviseMultiplePaths: evaluating the
-/// per-path standalone optima under this accounting reproduces exactly the
-/// greedy `total_cost_shared`, so the joint optimum is <= greedy <= the sum
+/// This generalizes the greedy merge of AdviseMultiplePaths: when each
+/// path's standalone optimum is unique, those optima priced under this
+/// accounting are exactly the greedy `total_cost_shared` (tied optima may
+/// share differently). The joint optimum is <= its greedy seed <= the sum
 /// of independent optima by construction (the search is seeded with the
 /// greedy assignment and the space contains it).
 ///
@@ -34,6 +35,11 @@
 /// ground truth).
 
 namespace pathix {
+
+/// Cost ties, in pages per operation: the search replaces its incumbent only
+/// with an assignment cheaper by more than this, and the online controller
+/// holds on savings no larger (a relabeling of one cost, not a gain).
+inline constexpr double kJointCostTolerance = 1e-7;
 
 struct JointOptions {
   /// Maximum total bytes across the distinct chosen indexes; infinity (the

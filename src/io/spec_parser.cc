@@ -1,6 +1,7 @@
 #include "io/spec_parser.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -15,6 +16,8 @@ Status LineError(int line, const std::string& msg) {
   return Status::InvalidArgument("line " + std::to_string(line) + ": " + msg);
 }
 
+/// Parses a whole token as a finite number: std::stod accepts "nan" and
+/// "inf", which no directive means.
 bool ParseDouble(const std::string& token, double* out) {
   std::size_t used = 0;
   try {
@@ -22,8 +25,12 @@ bool ParseDouble(const std::string& token, double* out) {
   } catch (...) {
     return false;
   }
-  return used == token.size();
+  return used == token.size() && std::isfinite(*out);
 }
+
+/// Upper bound on a class statistic: far above real extents, far below
+/// where the cost model's products overflow (1e308 yields an infinite cost).
+constexpr double kMaxClassStat = 1e15;
 
 Result<IndexOrg> ParseOrg(const std::string& token) {
   if (token == "MX") return IndexOrg::kMX;
@@ -107,7 +114,7 @@ Result<WorkloadSpec> ParseSpecImpl(const std::string& text, SpecMode mode,
       double v;
       // Bounds are checked in negated form so NaN fails them too.
       if (tok.size() != 2 || !ParseDouble(tok[1], &v) || !(v > 0)) {
-        return LineError(line_no, cmd + " expects one positive number");
+        return LineError(line_no, cmd + " expects one finite positive number");
       }
       PhysicalParams* pp = spec.catalog.mutable_params();
       if (cmd == "page_size") pp->page_size = v;
@@ -138,10 +145,15 @@ Result<WorkloadSpec> ParseSpecImpl(const std::string& text, SpecMode mode,
       double n, d, nin, obj_len = 64;
       if (tok.size() < i + 3 || !ParseDouble(tok[i], &n) ||
           !ParseDouble(tok[i + 1], &d) || !ParseDouble(tok[i + 2], &nin)) {
-        return LineError(line_no, "class statistics must be numeric");
+        return LineError(line_no, "class statistics must be finite numbers");
       }
       if (tok.size() > i + 3 && !ParseDouble(tok[i + 3], &obj_len)) {
-        return LineError(line_no, "obj_len must be numeric");
+        return LineError(line_no, "obj_len must be a finite number");
+      }
+      for (const double v : {n, d, nin, obj_len}) {
+        if (v < 0 || v > kMaxClassStat) {
+          return LineError(line_no, "class statistics must lie in [0, 1e15]");
+        }
       }
       Result<ClassId> cls = spec.schema.AddClass(name, super);
       if (!cls.ok()) return LineError(line_no, cls.status().message());
@@ -238,7 +250,7 @@ Result<WorkloadSpec> ParseSpecImpl(const std::string& text, SpecMode mode,
       double a, b, g;
       if (!ParseDouble(tok[2], &a) || !ParseDouble(tok[3], &b) ||
           !ParseDouble(tok[4], &g) || !(a >= 0) || !(b >= 0) || !(g >= 0)) {
-        return LineError(line_no, "load frequencies must be >= 0");
+        return LineError(line_no, "load frequencies must be finite and >= 0");
       }
       // In multi-path modes a load binds to the most recent path; loads
       // before the first path are defaults for every path. Single-path

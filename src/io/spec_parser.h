@@ -30,11 +30,13 @@
 ///   orgs MX MIX NIX NX PX NONE         # candidate set (optional, once)
 ///   matching_keys 1                    # range-predicate width (optional)
 ///
-/// Classes must be declared before use; a path must come after the
-/// attributes it navigates. A `path` whose first token is not a declared
-/// class is a *named* path (the name must not collide with a class name);
-/// names identify paths in multi-path trace mixes and become the
-/// SimDatabase path ids of the online subsystem.
+/// Every number must be finite ("nan" and "inf" are errors), and a class's
+/// n, d, nin and obj_len must lie in [0, 1e15]. Classes must be declared
+/// before use; a path must come after the attributes it navigates. A
+/// `path` whose first token is not a declared class is a *named* path (the
+/// name must not collide with a class name); names identify paths in
+/// multi-path trace mixes and become the SimDatabase path ids of the online
+/// subsystem.
 ///
 /// Single-path specs (ParseAdvisorSpec) allow exactly one `path`; repeating
 /// `path`, `orgs`, or `load` for the same class is an error (with the

@@ -22,7 +22,8 @@ namespace pathix::obs {
 
 /// Version stamp every ledger's meta record carries; consumers reject
 /// ledgers from a different major schema (see pathix_explain).
-inline constexpr int kDecisionLedgerSchemaVersion = 1;
+/// Version 2 added the per-path `changes` of commit records.
+inline constexpr int kDecisionLedgerSchemaVersion = 2;
 
 /// \brief Accumulates JSONL records, each written through its own
 /// JsonWriter.

@@ -13,8 +13,8 @@
 ///
 /// Every machine-readable artifact the project emits goes through this one
 /// class: the BENCH_*.json one-liners (bench/bench_json.h), the metrics
-/// snapshot and event-log exports (obs/export.h, online/event_json.h) and
-/// the chrome://tracing trace files (obs/trace.h). Before it existed each
+/// snapshot (obs/export.h), the decision ledger (online/decision_record.h)
+/// and the chrome://tracing trace files (obs/trace.h). Before it existed each
 /// emitter hand-assembled strings with ad-hoc (and incomplete) escaping;
 /// centralizing the quoting is the point, not expressiveness.
 ///

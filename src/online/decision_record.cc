@@ -64,6 +64,16 @@ void WriteDecisionRecord(obs::DecisionLog* log, const DecisionRecord& rec) {
       .Key("verdict").Value(rec.verdict)
       .Key("hold_reason").Value(rec.hold_reason);
 
+  w.Key("changes").BeginArray();
+  for (const DecisionChange& c : rec.changes) {
+    w.BeginObject()
+        .Key("path").Value(c.path)
+        .Key("from").Value(c.from)
+        .Key("to").Value(c.to)
+        .EndObject();
+  }
+  w.EndArray();
+
   w.Key("workload").BeginObject();
   w.Key("load").BeginArray();
   for (const DecisionLoadEntry& e : rec.load) {

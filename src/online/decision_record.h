@@ -14,7 +14,8 @@
 /// online controller (online/joint_controller.h) — what the workload looked
 /// like, what the solver searched, which candidates it scored and why they
 /// lost, how the hysteresis inequality evaluated (modeled and measured
-/// sides), and the verdict (install / switch / hold).
+/// sides), the verdict (install / switch / hold) and a commit's per-path
+/// configuration changes.
 ///
 /// The paper's contribution is a cost-model-driven *choice*; the ledger is
 /// the audit trail of every such choice the online stack makes. AIM (Meta,
@@ -47,6 +48,14 @@ struct DecisionLoadEntry {
 struct DecisionNaivePages {
   std::string path;
   double pages_per_op = 0;
+};
+
+/// One path's side of a committed reconfiguration, both configurations
+/// rendered with IndexConfiguration::ToString(schema, path).
+struct DecisionChange {
+  std::string path;  ///< path id
+  std::string from;  ///< "{}" when the path had no configuration
+  std::string to;
 };
 
 /// One scored candidate configuration and why it was not chosen.
@@ -125,6 +134,8 @@ struct DecisionRecord {
   /// Hold verdicts only: "no_traffic", "already_optimal", "no_savings",
   /// "hysteresis", or "error".
   std::string hold_reason;
+  /// Every path a commit changed, ordered by path id; empty on holds.
+  std::vector<DecisionChange> changes;
   std::vector<DecisionLoadEntry> load;  ///< sorted by (path, class id)
   std::vector<DecisionNaivePages> naive_pages;  ///< sorted by path
   DecisionSearchStats search;

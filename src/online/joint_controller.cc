@@ -10,6 +10,7 @@
 #include "costmodel/subpath_cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "online/transition_cost.h"
 
 namespace pathix {
 
@@ -36,7 +37,7 @@ bool ScopedAnalyzer::Refresh(const SimDatabase& db,
     const auto it = live_at_collection_.find(cls);
     const double at = it == live_at_collection_.end() ? 0 : it->second;
     if (std::abs(live - at) >
-        options.stats_refresh_fraction * std::max(1.0, at)) {
+        kStatsRefreshFraction * std::max(1.0, at)) {
       drifted.insert(cls);
     }
   }
@@ -66,7 +67,6 @@ JointReconfigurationController::JointReconfigurationController(
       options_(std::move(options)),
       path_ids_(db->path_ids()),
       monitor_(options_.half_life_ops),
-      events_(options_.max_event_log),
       decisions_(options_.max_decision_log) {
   cadence_.Init(options_);
   scopes_.reserve(path_ids_.size());
@@ -324,14 +324,13 @@ bool JointReconfigurationController::Check() {
   hyst.current_is_measured_naive = !any_configured;
   hyst.best_cost_per_op = joint.value().total_cost;
   hyst.savings_per_op = savings;
-  if (savings <= 0) return hold("no_savings");
+  // Savings within the tie tolerance only relabel the installed cost.
+  if (savings <= kJointCostTolerance) return hold("no_savings");
 
-  const TransitionCost transition =
-      EstimateJointTransitionCost(transitions, db_->store());
   hyst.evaluated = true;
   hyst.lhs_pages = savings * options_.horizon_ops;
-  hyst.modeled = transition;
-  hyst.rhs_modeled_pages = options_.hysteresis * transition.total();
+  hyst.modeled = EstimateJointTransitionCost(transitions, db_->store());
+  hyst.rhs_modeled_pages = options_.hysteresis * hyst.modeled.total();
   if (hyst.lhs_pages <= hyst.rhs_modeled_pages) {
     for (DecisionCandidate& cand : rec.candidates) {
       if (cand.chosen) cand.why_not = "hysteresis";
@@ -339,18 +338,12 @@ bool JointReconfigurationController::Check() {
     return hold("hysteresis");
   }
   hyst.passed = true;
-
-  JointReconfigurationEvent ev;
-  ev.op_index = monitor_.ops_observed();
-  ev.initial = !any_configured;
-  ev.predicted_savings_per_op = savings;
-  ev.transition = transition;
-  return Commit(joint.value().per_path, std::move(ev), std::move(rec));
+  rec.verdict = any_configured ? "switch" : "install";
+  return Commit(joint.value().per_path, std::move(rec));
 }
 
 bool JointReconfigurationController::Commit(
-    const std::vector<JointPathSelection>& targets,
-    JointReconfigurationEvent ev, DecisionRecord rec) {
+    const std::vector<JointPathSelection>& targets, DecisionRecord rec) {
   std::vector<std::pair<PathId, IndexConfiguration>> changes;
   changes.reserve(path_ids_.size());
   for (std::size_t i = 0; i < path_ids_.size(); ++i) {
@@ -359,11 +352,13 @@ bool JointReconfigurationController::Commit(
     if (installed && db_->physical(path_ids_[i]).config() == target) {
       continue;
     }
-    JointReconfigurationEvent::PathChange change;
-    change.path = path_ids_[i];
-    if (installed) change.from = db_->physical(path_ids_[i]).config();
-    change.to = target;
-    ev.changes.push_back(std::move(change));
+    const Path& path = db_->path(path_ids_[i]);
+    rec.changes.push_back(DecisionChange{
+        path_ids_[i],
+        installed ? db_->physical(path_ids_[i]).config().ToString(
+                        db_->schema(), path)
+                  : "{}",
+        target.ToString(db_->schema(), path)});
     changes.emplace_back(path_ids_[i], target);
   }
   obs::ObsSpan commit_span(&obs::GlobalTracer(), "joint_reconfigure",
@@ -374,24 +369,23 @@ bool JointReconfigurationController::Commit(
     status_ = committed;
     rec.verdict = "hold";
     rec.hold_reason = "error";
+    rec.changes.clear();
     decisions_.Append(std::move(rec));
     return false;
   }
-  ev.measured = MeasuredTransitionCost(
-      ev.transition, db_->registry().cumulative_build_io() - built_before);
-  transition_charged_ += ev.transition.total();
-  measured_transition_charged_ += ev.measured.total();
-  commit_span.AddArg("initial", ev.initial ? "true" : "false");
-  commit_span.AddArg("paths_changed", static_cast<double>(ev.changes.size()));
-  commit_span.AddArg("modeled_pages", ev.transition.total());
-  commit_span.AddArg("measured_pages", ev.measured.total());
-  rec.hysteresis.has_measured = true;
-  rec.hysteresis.measured = ev.measured;
-  rec.hysteresis.rhs_measured_pages =
-      options_.hysteresis * ev.measured.total();
-  rec.verdict = ev.initial ? "install" : "switch";
+  DecisionHysteresis& hyst = rec.hysteresis;
+  hyst.has_measured = true;
+  hyst.measured = MeasuredTransitionCost(
+      hyst.modeled, db_->registry().cumulative_build_io() - built_before);
+  hyst.rhs_measured_pages = options_.hysteresis * hyst.measured.total();
+  transition_charged_ += hyst.modeled.total();
+  measured_transition_charged_ += hyst.measured.total();
+  ++commits_;
+  commit_span.AddArg("initial", rec.verdict == "install" ? "true" : "false");
+  commit_span.AddArg("paths_changed", static_cast<double>(changes.size()));
+  commit_span.AddArg("modeled_pages", hyst.modeled.total());
+  commit_span.AddArg("measured_pages", hyst.measured.total());
   decisions_.Append(std::move(rec));
-  events_.Append(std::move(ev));
   return true;
 }
 
@@ -400,9 +394,9 @@ void JointReconfigurationController::MirrorMetrics() const {
   m.CounterAt("pathix_controller_checks_total")
       .MirrorTo(static_cast<double>(checks_));
   m.CounterAt("pathix_controller_reconfigurations_total")
-      .MirrorTo(static_cast<double>(events_.committed()));
-  m.CounterAt("pathix_controller_events_evicted_total")
-      .MirrorTo(static_cast<double>(events_.evicted()));
+      .MirrorTo(static_cast<double>(commits_));
+  m.CounterAt("pathix_controller_decisions_evicted_total")
+      .MirrorTo(static_cast<double>(decisions_.evicted()));
   m.CounterAt("pathix_controller_transition_pages_total",
               {{"kind", "modeled"}})
       .MirrorTo(transition_charged_);

@@ -13,7 +13,6 @@
 #include "exec/analyze.h"
 #include "exec/database.h"
 #include "online/decision_record.h"
-#include "online/transition_cost.h"
 #include "online/workload_monitor.h"
 
 /// \file joint_controller.h
@@ -35,11 +34,13 @@
 ///
 /// The paper's problem — one path, no budget — is the one-path case. An
 /// unbudgeted path contributes its 2^(n-1) recombinations (each block
-/// under its cheapest organization) to every drift check; past
-/// JointOptions::max_configs_per_path (500,000, so from n = 20 on) the
+/// under its cheapest organization) to every drift check. Under a budget
+/// every block keeps every organization: |orgs| * (|orgs| + 1)^(n-1)
+/// configurations. Past JointOptions::max_configs_per_path (500,000) the
 /// solve fails with FailedPrecondition and the controller goes dormant
-/// (status()). tests/online/joint_equivalence_test.cc pins the one-path
-/// event log on the shipped drift trace to a golden.
+/// (status()): from n = 20 without a budget, from n = 10 under one with
+/// the default MX/MIX/NIX. tests/online/joint_equivalence_test.cc pins the
+/// one-path commit records on the shipped drift trace to a golden.
 
 namespace pathix {
 
@@ -51,15 +52,8 @@ struct ControllerOptions {
   /// Half-life of the monitor's decayed counts, in operations.
   double half_life_ops = 512;
   /// Operations between drift checks (the base interval the adaptive
-  /// cadence backs off from).
+  /// cadence backs off from; see DriftCadence).
   std::uint64_t check_interval_ops = 256;
-  /// While consecutive checks commit no reconfiguration the interval is
-  /// multiplied by this factor (1 disables the backoff); a committed
-  /// reconfiguration resets it to the base. Cuts solver work on stationary
-  /// stretches without giving up drift tracking.
-  double cadence_backoff = 2.0;
-  /// Cap: the interval never exceeds check_interval_ops * this factor.
-  double cadence_max_factor = 4.0;
   /// Operations observed before the first drift check may run. The initial
   /// install is hysteresis-gated like any other transition, against the
   /// *measured* naive-scan cost of the status quo
@@ -70,37 +64,34 @@ struct ControllerOptions {
   /// Hysteresis factor theta >= 1: reconfigure only when
   ///   (current_cost - best_cost) * horizon_ops > theta * transition_cost.
   double hysteresis = 1.5;
-  /// A class's statistics are re-collected (scoped ANALYZE) when its live
-  /// object count moved by more than this fraction since its last
-  /// collection; untouched classes keep their entries and cost no store
-  /// pass. Between refreshes the candidate pool cache
-  /// (CandidatePoolBuilder) serves drift checks without model calls.
-  double stats_refresh_fraction = 0.1;
   /// Storage budget of the selection, in bytes: the total size of the
   /// distinct physical indexes the solver may choose (infinity disables
   /// the constraint).
   double storage_budget_bytes = std::numeric_limits<double>::infinity();
-  /// Ring-buffer bound on the retained reconfiguration event log (0 keeps
-  /// everything). A long-running controller keeps the newest max_event_log
-  /// events; evictions are counted (events_evicted(), mirrored as the
-  /// pathix_controller_events_evicted_total metric) so consumers can tell a
-  /// truncated log from a short one.
-  std::size_t max_event_log = 1024;
   /// Scored candidate alternatives captured into each decision record
   /// (online/decision_record.h). 0 disables candidate capture — the record
   /// itself (workload snapshot, search stats, hysteresis, verdict) is
   /// always kept.
   int decision_top_k = 5;
-  /// Ring-buffer bound on the retained decision ledger (0 keeps
-  /// everything). Decisions accrue one per drift check — far faster than
-  /// committed events — so the default bound is what keeps a long-running
-  /// controller's memory flat.
+  /// Ring-buffer bound on the retained decision ledger, one record per
+  /// drift check (0 keeps everything). Evictions are counted
+  /// (decisions_evicted(), pathix_controller_decisions_evicted_total).
   std::size_t max_decision_log = 4096;
   /// Physical parameters (oid/key lengths etc.) the cost model solves
   /// against; page_size is always taken from the database's pager. Pass the
   /// spec's catalog params when the spec overrides the defaults.
   PhysicalParams physical_params;
 };
+
+/// Each drift check that commits nothing multiplies the check interval by
+/// kCadenceBackoff, up to kCadenceMaxFactor x check_interval_ops; a commit
+/// resets it. Cuts solver work on stationary stretches.
+inline constexpr std::uint64_t kCadenceBackoff = 2;
+inline constexpr std::uint64_t kCadenceMaxFactor = 4;
+
+/// Scoped ANALYZE re-collects a class's statistics once its live object
+/// count moved by more than this fraction since its last collection.
+inline constexpr double kStatsRefreshFraction = 0.1;
 
 /// \brief The controller's adaptive drift-check schedule: checks start at
 /// the base interval, back off multiplicatively while they commit nothing,
@@ -109,11 +100,6 @@ class DriftCadence {
  public:
   void Init(const ControllerOptions& options) {
     base_ = std::max<std::uint64_t>(1, options.check_interval_ops);
-    max_interval_ = std::max<std::uint64_t>(
-        base_, static_cast<std::uint64_t>(
-                   static_cast<double>(base_) *
-                   std::max(1.0, options.cadence_max_factor)));
-    backoff_ = std::max(1.0, options.cadence_backoff);
     interval_ = base_;
     // First check: the first base-interval boundary past the warmup (the
     // pre-backoff schedule checked every multiple of the base interval).
@@ -126,13 +112,9 @@ class DriftCadence {
   /// Reschedules after a check at \p ops: a committed reconfiguration
   /// resets the interval, a quiet check backs it off (capped).
   void Reschedule(std::uint64_t ops, bool reconfigured) {
-    if (reconfigured) {
-      interval_ = base_;
-    } else {
-      interval_ = std::min<std::uint64_t>(
-          max_interval_, static_cast<std::uint64_t>(
-                             static_cast<double>(interval_) * backoff_));
-    }
+    interval_ = reconfigured ? base_
+                             : std::min(base_ * kCadenceMaxFactor,
+                                        interval_ * kCadenceBackoff);
     next_check_ = ops + interval_;
   }
 
@@ -145,8 +127,6 @@ class DriftCadence {
 
  private:
   std::uint64_t base_ = 1;
-  std::uint64_t max_interval_ = 1;
-  double backoff_ = 1;
   std::uint64_t interval_ = 1;
   std::uint64_t next_check_ = 1;
 };
@@ -179,20 +159,13 @@ class ScopedAnalyzer {
   std::uint64_t refreshes_ = 0;
 };
 
-/// \brief Append-only event log with an optional ring-buffer bound: keeps
-/// the newest \p max_events entries, counts what it evicted, and remembers
-/// the all-time committed total — so BoundedEventLog(0) is exactly the
-/// unbounded vector it replaces, and a bounded log still reports true
-/// counts (ServeDriver counts reconfigurations from committed(), never
-/// from events().size()).
+/// \brief The decision ledger's append-only ring: keeps the newest
+/// \p max_events entries (all when 0), counts what it evicted, and
+/// remembers the all-time committed total.
 template <typename Event>
 class BoundedEventLog {
  public:
   explicit BoundedEventLog(std::size_t max_events = 0) : max_(max_events) {}
-
-  /// Sets the bound (normally once, from ControllerOptions::max_event_log,
-  /// before any append). Shrinking an over-full log evicts on next Append.
-  void set_max_events(std::size_t max_events) { max_ = max_events; }
 
   void Append(Event event) {
     ++committed_;
@@ -210,36 +183,12 @@ class BoundedEventLog {
   /// All-time appends, evicted or not.
   std::uint64_t committed() const { return committed_; }
   std::uint64_t evicted() const { return evicted_; }
-  std::size_t max_events() const { return max_; }
 
  private:
   std::size_t max_;
   std::vector<Event> events_;
   std::uint64_t committed_ = 0;
   std::uint64_t evicted_ = 0;
-};
-
-
-/// One committed joint reconfiguration (including the initial install).
-struct JointReconfigurationEvent {
-  /// One path's side of the change. Only changed paths are listed.
-  struct PathChange {
-    PathId path;
-    IndexConfiguration from;  ///< empty on the initial install
-    IndexConfiguration to;
-  };
-
-  std::uint64_t op_index = 0;  ///< operations observed when it happened
-  bool initial = false;        ///< first install (nothing was configured)
-  std::vector<PathChange> changes;  ///< ordered by path id
-  /// current - best under the joint shared accounting; unconfigured paths'
-  /// current cost is their *measured* naive-scan pages per operation.
-  double predicted_savings_per_op = 0;
-  TransitionCost transition;  ///< modeled price (shared parts charged once)
-  /// Pager-measured price, recorded after the commit: drops from actual
-  /// structure pages (as modeled), scan/write from the build I/O of the
-  /// parts the registry actually built.
-  TransitionCost measured;
 };
 
 /// \brief Attach with db->SetObserver(&controller); detach before either
@@ -256,7 +205,7 @@ struct JointReconfigurationEvent {
 /// keeping the fast path at one atomic load. The commit runs while the
 /// other threads keep serving: in-flight queries finish on the old
 /// configuration epochs (SimDatabase's epoch swap). The inspection
-/// accessors (events(), decisions(), monitor(), ...) are for quiescent
+/// accessors (decisions(), monitor(), ...) are for quiescent
 /// use: call them when no serving thread is driving operations, or accept
 /// a racy read.
 class JointReconfigurationController : public DbOpObserver {
@@ -278,19 +227,13 @@ class JointReconfigurationController : public DbOpObserver {
   const DriftCadence& cadence() const { return cadence_; }
   const std::vector<PathId>& path_ids() const { return path_ids_; }
 
-  /// The retained event log (the newest ControllerOptions::max_event_log
-  /// events; everything when the bound is 0).
-  const std::vector<JointReconfigurationEvent>& events() const {
-    return events_.events();
-  }
-  /// All-time committed reconfigurations (eviction-proof — use this, not
-  /// events().size(), for counting).
-  std::uint64_t events_committed() const { return events_.committed(); }
-  /// Events dropped from the retained log by the ring-buffer bound.
-  std::uint64_t events_evicted() const { return events_.evicted(); }
+  /// All-time committed reconfigurations, the initial install included
+  /// (eviction-proof, unlike counting decisions()).
+  std::uint64_t events_committed() const { return commits_; }
 
   /// The retained decision ledger: one record per drift check (the newest
-  /// ControllerOptions::max_decision_log records; everything when 0).
+  /// ControllerOptions::max_decision_log records; everything when 0). An
+  /// install or switch record is the committed reconfiguration itself.
   const std::vector<DecisionRecord>& decisions() const {
     return decisions_.events();
   }
@@ -302,14 +245,14 @@ class JointReconfigurationController : public DbOpObserver {
   double transition_pages_charged() const { return transition_charged_; }
 
   /// Pager-measured page cost of every committed transition so far (the
-  /// events' .measured totals).
+  /// commit records' hysteresis.measured totals).
   double measured_transition_pages_charged() const {
     return measured_transition_charged_;
   }
 
   std::uint64_t checks_run() const { return checks_; }
 
-  /// Mirrors the controller's counters (checks, committed/evicted events,
+  /// Mirrors the controller's counters (checks, commits, evicted records,
   /// modeled and measured transition pages) and the monitor's drift gauges
   /// into the database's metrics registry. Call before exporting.
   void MirrorMetrics() const;
@@ -322,13 +265,13 @@ class JointReconfigurationController : public DbOpObserver {
   /// Returns true when a reconfiguration was committed.
   bool Check();
 
-  /// Fills \p ev.changes with every path whose installed configuration
+  /// Fills \p rec.changes with every path whose installed configuration
   /// differs from its target, commits them as one batch reconfigure,
-  /// accumulates the transition charge and records the event and its
-  /// decision record \p rec (measured side + verdict filled here). Returns
-  /// false (and sets status_) on a commit error.
+  /// accumulates the transition charge and appends \p rec with its
+  /// measured side filled. Returns false (and sets status_) on a commit
+  /// error.
   bool Commit(const std::vector<JointPathSelection>& targets,
-              JointReconfigurationEvent ev, DecisionRecord rec);
+              DecisionRecord rec);
 
   SimDatabase* db_;
   ControllerOptions options_;
@@ -356,8 +299,8 @@ class JointReconfigurationController : public DbOpObserver {
   /// (pathix_advisor_pool_cache_hits_total counts the reuses).
   CandidatePoolBuilder pool_builder_;
 
-  BoundedEventLog<JointReconfigurationEvent> events_;
   BoundedEventLog<DecisionRecord> decisions_;
+  std::uint64_t commits_ = 0;
   double transition_charged_ = 0;
   double measured_transition_charged_ = 0;
   std::uint64_t checks_ = 0;

@@ -184,7 +184,6 @@ Result<JointExperimentReport> RunJointOnlineExperiment(
     }
     inst.db.SetObserver(nullptr);
     if (!controller.status().ok()) return controller.status();
-    report.events = controller.events();
     controller.MirrorMetrics();
     report.online_metrics = inst.db.SnapshotMetrics();
   }

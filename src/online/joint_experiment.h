@@ -78,8 +78,8 @@ struct JointStaticCandidate {
 };
 
 struct JointExperimentReport {
+  /// The online run; its phases' decision slices hold the ledger.
   ExperimentRun online;
-  std::vector<JointReconfigurationEvent> events;  ///< online run's switches
 
   /// The online run's metrics registry (obs/metrics.h), snapshotted twice:
   /// the baseline right after Populate() and the final state after the last

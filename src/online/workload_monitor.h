@@ -51,12 +51,6 @@ class WorkloadMonitor {
   /// the anonymous single-path stream); updates are keyed by class only.
   void Observe(const DbOpEvent& ev) EXCLUDES(mu_);
 
-  /// Single-path convenience: queries land on the anonymous path, with no
-  /// measured pages attached.
-  void Observe(DbOpKind kind, ClassId cls) {
-    Observe({kind, cls, {}, false, {}});
-  }
-
   /// The all-paths estimate, normalized so all frequencies sum to 1 (every
   /// query, whatever path it names, plus every update). Empty (all-zero)
   /// until the first observation.

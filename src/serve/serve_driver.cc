@@ -87,8 +87,8 @@ ServePhaseReport ServeDriver::RunPhase(
   const double charged_before = controller->transition_pages_charged();
   const double measured_before =
       controller->measured_transition_pages_charged();
-  // Committed counts, not events().size(): the retained log is bounded
-  // (ControllerOptions::max_event_log) and may evict.
+  // All-time counts, not the retained ledger's size: the ledger is bounded
+  // (ControllerOptions::max_decision_log) and may evict.
   const std::uint64_t events_before = controller->events_committed();
   const std::uint64_t decisions_before = controller->decisions_committed();
   ServePhaseReport out = RunPhaseOps(phase_index);

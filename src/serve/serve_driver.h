@@ -23,8 +23,8 @@
 /// across phases; worker t > 0 derives its stream from (seed, t). Pool
 /// shards are striped round-robin from the same deterministic population.
 /// With one worker the op sequence is therefore a pure function of the
-/// spec, run on the calling thread: the same event log, decision ledger
-/// and tallies on every run (tests/online/replay_determinism_test.cc pins
+/// spec, run on the calling thread: the same decision ledger and tallies
+/// on every run (tests/online/replay_determinism_test.cc pins
 /// the bytes, scripts/obs_smoke.py the shipped ledger). That is the
 /// single-threaded replay every experiment runs on (joint_experiment.h,
 /// measured_validation.h). With N > 1 each worker's op sequence is

@@ -217,17 +217,10 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
   WorkloadMonitor monitor(/*half_life_ops=*/256);
   RunInParallel(kThreads, [&monitor](int t) {
     for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
-      switch (i % 3) {
-        case 0:
-          monitor.Observe(DbOpKind::kQuery, static_cast<ClassId>(t));
-          break;
-        case 1:
-          monitor.Observe(DbOpKind::kInsert, static_cast<ClassId>(t));
-          break;
-        default:
-          monitor.Observe(DbOpKind::kDelete, static_cast<ClassId>(t));
-          break;
-      }
+      const DbOpKind kind = i % 3 == 0   ? DbOpKind::kQuery
+                            : i % 3 == 1 ? DbOpKind::kInsert
+                                         : DbOpKind::kDelete;
+      monitor.Observe({kind, static_cast<ClassId>(t), {}, false, {}});
       if (i % 64 == 0) {
         (void)monitor.EstimatedLoad();
         (void)monitor.MeasuredNaiveQueryPagesPerOp();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "advisor/workload_advisor.h"
 
 namespace pathix {
@@ -108,6 +110,28 @@ TEST(SpecParserTest, NanAndInfValuesRejected) {
   EXPECT_FALSE(ParseWorkloadSpec("class A 10 10 1\nattr A n string\n"
                                  "path A n\nload A 0.1 0 0\nbudget inf\n")
                    .ok());
+
+  // Non-finite, negative and absurdly large class statistics, and infinite
+  // parameters or frequencies, are line-numbered errors, not a
+  // recommendation or an infinite expected cost.
+  const std::string tail = "attr A n string\npath A n\n";
+  for (const std::string& hostile : {
+           "class A nan nan 1\n" + tail,
+           "class A -5 -5 -1\n" + tail,
+           "class A 200000 20000 1 nan\n" + tail,
+           "class A 1e308 1e308 1e308\n" + tail,
+           "class A 10 10 1\n" + tail + "load A inf 0.1 0.1\n",
+           "key_len inf\nclass A 10 10 1\n" + tail,
+           "page_size inf\nclass A 10 10 1\n" + tail,
+       }) {
+    SCOPED_TRACE(hostile);
+    const Result<AdvisorSpec> spec = ParseAdvisorSpec(hostile);
+    ASSERT_FALSE(spec.ok());
+    EXPECT_NE(spec.status().message().find("line "), std::string::npos)
+        << spec.status().message();
+  }
+  // Zero-statistics classes stay legal.
+  EXPECT_TRUE(ParseAdvisorSpec("class A 0 0 0\n" + tail).ok());
 }
 
 TEST(SpecParserTest, BadOrgTokenRejected) {

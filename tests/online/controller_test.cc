@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
 #include "exec/analyze.h"
@@ -142,8 +145,11 @@ TEST(ControllerTest, InstallsAfterWarmupAndReportsTheEvent) {
 
   CheckOk(controller.status());
   EXPECT_TRUE(inst.db.has_indexes(kPeople));
-  ASSERT_EQ(controller.events().size(), 1u);
-  EXPECT_TRUE(controller.events()[0].initial);
+  ASSERT_EQ(controller.events_committed(), 1u);
+  const DecisionRecord& install = controller.decisions().front();
+  EXPECT_EQ(install.verdict, "install");
+  EXPECT_DOUBLE_EQ(install.hysteresis.modeled.total(),
+                   controller.transition_pages_charged());
   EXPECT_GT(controller.transition_pages_charged(), 0.0);
   // A pure query load never indexes nothing.
   EXPECT_GT(inst.db.physical(kPeople).config().degree(), 0);
@@ -169,8 +175,13 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   }
   inst.db.SetObserver(nullptr);
   CheckOk(controller.status());
-  ASSERT_FALSE(controller.events().empty());
-  EXPECT_FALSE(controller.events()[0].initial);  // it was a switch
+  const std::vector<DecisionRecord>& ledger = controller.decisions();
+  const auto first_commit =
+      std::find_if(ledger.begin(), ledger.end(), [](const DecisionRecord& r) {
+        return r.verdict != "hold";
+      });
+  ASSERT_NE(first_commit, ledger.end());
+  EXPECT_EQ(first_commit->verdict, "switch");
   bool still_none = false;
   for (const IndexedSubpath& part :
        inst.db.physical(kPeople).config().parts()) {
@@ -234,8 +245,8 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
 
     CheckOk(controller.status());
     std::size_t switches = 0;
-    for (const JointReconfigurationEvent& ev : controller.events()) {
-      if (!ev.initial) ++switches;
+    for (const DecisionRecord& rec : controller.decisions()) {
+      if (rec.verdict == "switch") ++switches;
     }
     if (reluctant) {
       EXPECT_EQ(switches, 0u);

@@ -62,9 +62,15 @@ TEST(ConvergenceTest, StationaryTraceConvergesToOfflinePickAndNeverThrashes) {
   db.SetObserver(nullptr);
   CheckOk(controller.status());
 
-  // Exactly one event: the initial install. No reconfiguration ever after.
-  ASSERT_EQ(controller.events().size(), 1u);
-  EXPECT_TRUE(controller.events()[0].initial);
+  // Exactly one commit: the initial install, gated against the measured
+  // naive-scan status quo. No reconfiguration ever after.
+  ASSERT_EQ(controller.events_committed(), 1u);
+  for (const DecisionRecord& rec : controller.decisions()) {
+    if (rec.verdict == "hold") continue;
+    EXPECT_EQ(rec.verdict, "install");
+    EXPECT_TRUE(rec.hysteresis.current_is_measured_naive);
+    EXPECT_GT(rec.hysteresis.savings_per_op, 0.0);
+  }
 
   // ... and it is the offline advisor's pick for the true (stationary)
   // loads on the live data.
@@ -85,8 +91,7 @@ TEST(ConvergenceTest, StationaryTraceConvergesToOfflinePickAndNeverThrashes) {
   // stationary tail cost far fewer solver calls than the base schedule
   // (5000 ops / 256 would be ~19 checks).
   EXPECT_EQ(controller.cadence().current_interval(),
-            options.check_interval_ops *
-                static_cast<std::uint64_t>(options.cadence_max_factor));
+            options.check_interval_ops * kCadenceMaxFactor);
   EXPECT_LT(controller.checks_run(), 12u);
 
   // Scoped ANALYZE: the balanced trickle of churn never moved any class

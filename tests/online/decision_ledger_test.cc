@@ -1,12 +1,14 @@
 // The decision ledger: every drift check of the controller lands exactly
 // one DecisionRecord — workload snapshot, scored candidates with why-not
 // margins, the hysteresis inequality (modeled and, after a commit,
-// measured) and the verdict. The serialized form must round-trip through
-// the project's own JSON reader with every schema key present, and commit
-// verdicts must equal committed reconfigurations.
+// measured), the verdict and a commit's configuration changes. The
+// serialized form must round-trip through the project's own JSON reader
+// with every schema key present, and commit verdicts must equal committed
+// reconfigurations.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -27,12 +29,14 @@ TraceSpec LoadDriftSpec() {
   return std::move(parsed).value();
 }
 
-/// Invariants of the controller's ledger.
+/// Invariants of the controller's (unevicted) ledger.
 void CheckLedger(const std::vector<DecisionRecord>& decisions,
-                 std::uint64_t checks, std::uint64_t committed_events) {
+                 std::uint64_t checks, std::uint64_t commits) {
   // One record per drift check, numbered 1..N in op order.
   ASSERT_EQ(decisions.size(), checks);
   std::uint64_t commit_verdicts = 0;
+  // Per path, the configuration the latest commit left installed.
+  std::map<std::string, std::string> installed;
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     const DecisionRecord& rec = decisions[i];
     EXPECT_EQ(rec.check_number, i + 1);
@@ -48,8 +52,10 @@ void CheckLedger(const std::vector<DecisionRecord>& decisions,
                   rec.hold_reason == "hysteresis" ||
                   rec.hold_reason == "error")
           << rec.hold_reason;
-      // The measured transition side exists only after a commit.
+      // The measured transition side and the changes exist only after a
+      // commit.
       EXPECT_FALSE(rec.hysteresis.has_measured);
+      EXPECT_TRUE(rec.changes.empty());
       if (rec.hold_reason == "hysteresis") {
         EXPECT_TRUE(rec.hysteresis.evaluated);
         EXPECT_FALSE(rec.hysteresis.passed);
@@ -69,6 +75,16 @@ void CheckLedger(const std::vector<DecisionRecord>& decisions,
       if (rec.verdict == "install") {
         EXPECT_TRUE(rec.hysteresis.current_is_measured_naive);
       }
+      // Each change moves a path from what the previous commit of that
+      // path left ("{}" before its first) to something else.
+      EXPECT_FALSE(rec.changes.empty());
+      for (const DecisionChange& change : rec.changes) {
+        const auto it = installed.find(change.path);
+        EXPECT_EQ(change.from, it == installed.end() ? "{}" : it->second)
+            << "check " << rec.check_number;
+        EXPECT_NE(change.from, change.to);
+        installed[change.path] = change.to;
+      }
     }
 
     // Any record that got past the traffic gate snapshots the workload and
@@ -87,7 +103,7 @@ void CheckLedger(const std::vector<DecisionRecord>& decisions,
       }
     }
   }
-  EXPECT_EQ(commit_verdicts, committed_events);
+  EXPECT_EQ(commit_verdicts, commits);
 }
 
 /// The serialized ledger must parse with the project's own reader and carry
@@ -110,8 +126,8 @@ void CheckSerializedRoundTrip(const std::vector<DecisionRecord>& decisions) {
     const obs::JsonValue& v = parsed.value();
     EXPECT_EQ(v.StringAt("type"), "decision");
     for (const char* key : {"check", "op_index", "controller", "phase",
-                            "verdict", "hold_reason", "workload", "search",
-                            "candidates", "hysteresis"}) {
+                            "verdict", "hold_reason", "changes", "workload",
+                            "search", "candidates", "hysteresis"}) {
       EXPECT_TRUE(v.Has(key)) << key;
     }
     const obs::JsonValue* hyst = v.Find("hysteresis");
@@ -126,6 +142,7 @@ void CheckSerializedRoundTrip(const std::vector<DecisionRecord>& decisions) {
     EXPECT_EQ(static_cast<std::uint64_t>(hyst->Find("measured")->is_object()),
               static_cast<std::uint64_t>(rec.hysteresis.has_measured));
     EXPECT_EQ(v.Find("candidates")->array().size(), rec.candidates.size());
+    EXPECT_EQ(v.Find("changes")->array().size(), rec.changes.size());
     start = end + 1;
     ++line_no;
   }

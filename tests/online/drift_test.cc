@@ -28,8 +28,10 @@ TEST(DriftTraceTest, OnlineBeatsBestStaticAndTracksTheOracle) {
   ASSERT_EQ(r.oracle_configs.size(), 3u);
   EXPECT_FALSE(r.oracle_configs[0] == r.oracle_configs[1]);
   std::size_t switches = 0;
-  for (const JointReconfigurationEvent& ev : r.events) {
-    if (!ev.initial) ++switches;
+  for (const PhaseReport& phase : r.online.phases) {
+    for (const DecisionRecord& rec : phase.decisions) {
+      if (rec.verdict == "switch") ++switches;
+    }
   }
   EXPECT_GE(switches, 1u);
 

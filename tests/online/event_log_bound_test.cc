@@ -1,6 +1,6 @@
-// BoundedEventLog: the controller's event-log ring buffer. The bound caps
-// retained memory on long runs; committed() keeps the all-time count the
-// serve driver and metrics mirror rely on, eviction-proof.
+// BoundedEventLog: the ring buffer behind the controller's decision ledger.
+// The bound caps retained memory on long runs; committed() keeps the
+// all-time count the serve driver's phase slices rely on, eviction-proof.
 
 #include <gtest/gtest.h>
 
@@ -41,24 +41,12 @@ TEST(BoundedEventLogTest, CommittedMinusEvictedIsRetained) {
   }
 }
 
-TEST(BoundedEventLogTest, ShrinkingEvictsOnNextAppend) {
-  BoundedEventLog<int> log(10);
-  for (int i = 0; i < 10; ++i) log.Append(i);
-  log.set_max_events(4);
-  EXPECT_EQ(log.events().size(), 10u);  // shrink is lazy
-  log.Append(10);
-  EXPECT_EQ(log.events().size(), 4u);
-  EXPECT_EQ(log.events().front(), 7);
-  EXPECT_EQ(log.events().back(), 10);
-  EXPECT_EQ(log.committed(), 11u);
-  EXPECT_EQ(log.evicted(), 7u);
-}
-
 TEST(BoundedEventLogTest, ControllerOptionsDefaultKeepsRecentEvents) {
   // The default bound exists (long-haul runs must not grow without limit)
-  // and is generous enough that every realistic trace keeps its full log.
+  // and is generous enough that every realistic trace keeps its full
+  // ledger.
   ControllerOptions options;
-  EXPECT_EQ(options.max_event_log, 1024u);
+  EXPECT_EQ(options.max_decision_log, 4096u);
 }
 
 TEST(BoundedEventLogTest, MoveOnlyEventsSupported) {

@@ -63,7 +63,7 @@ TEST(FirstInstallGatingTest, ReluctantControllerNeverInstalls) {
 
   CheckOk(controller.status());
   EXPECT_GT(controller.checks_run(), 0u);  // checks ran — and gated
-  EXPECT_TRUE(controller.events().empty());
+  EXPECT_EQ(controller.events_committed(), 0u);
   EXPECT_FALSE(inst.db.has_indexes(kPath));
 }
 
@@ -79,7 +79,7 @@ TEST(FirstInstallGatingTest, TinyHorizonCannotAmortizeTheBuild) {
   inst.db.SetObserver(nullptr);
 
   CheckOk(controller.status());
-  EXPECT_TRUE(controller.events().empty());
+  EXPECT_EQ(controller.events_committed(), 0u);
   EXPECT_FALSE(inst.db.has_indexes(kPath));
 }
 
@@ -95,14 +95,15 @@ TEST(FirstInstallGatingTest, UpdateOnlyStreamHasNothingToSave) {
 
   CheckOk(controller.status());
   EXPECT_GT(controller.checks_run(), 0u);
-  EXPECT_TRUE(controller.events().empty());
+  EXPECT_EQ(controller.events_committed(), 0u);
   EXPECT_FALSE(inst.db.has_indexes(kPath));
 }
 
 TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
   // Expensive naive scans against a default controller: the install fires
-  // on the first check, and the event records the measured naive cost it
-  // was gated against (positive savings) plus the measured transition.
+  // on the first check, and its commit record carries the measured naive
+  // cost it was gated against (positive savings) plus the measured
+  // transition.
   Instance inst;
   JointReconfigurationController controller(&inst.db, FastOptions());
   inst.db.SetObserver(&controller);
@@ -110,15 +111,17 @@ TEST(FirstInstallGatingTest, JustifiedInstallCarriesThePricedStatusQuo) {
   inst.db.SetObserver(nullptr);
 
   CheckOk(controller.status());
-  ASSERT_EQ(controller.events().size(), 1u);
-  const JointReconfigurationEvent& ev = controller.events()[0];
-  EXPECT_TRUE(ev.initial);
-  EXPECT_GT(ev.predicted_savings_per_op, 0.0);
+  ASSERT_EQ(controller.events_committed(), 1u);
+  const DecisionRecord& install = controller.decisions().front();
+  ASSERT_EQ(install.verdict, "install");
+  EXPECT_TRUE(install.hysteresis.current_is_measured_naive);
+  EXPECT_GT(install.hysteresis.savings_per_op, 0.0);
   // Measured transition: no drops on a first install, and the registry's
   // build I/O of exactly the installed parts.
-  EXPECT_DOUBLE_EQ(ev.measured.drop_pages, 0.0);
-  EXPECT_EQ(static_cast<std::uint64_t>(ev.measured.scan_pages) +
-                static_cast<std::uint64_t>(ev.measured.write_pages),
+  const TransitionCost& measured = install.hysteresis.measured;
+  EXPECT_DOUBLE_EQ(measured.drop_pages, 0.0);
+  EXPECT_EQ(static_cast<std::uint64_t>(measured.scan_pages) +
+                static_cast<std::uint64_t>(measured.write_pages),
             inst.db.registry().cumulative_build_io().total());
   EXPECT_GT(controller.measured_transition_pages_charged(), 0.0);
   EXPECT_TRUE(inst.db.has_indexes(kPath));

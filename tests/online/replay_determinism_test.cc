@@ -1,6 +1,7 @@
 // Determinism guard: serving the same .pix trace twice on one worker
-// produces byte-identical event logs, AccessStats and *decision ledgers* —
-// including the scoped tallies and the ledger's workload snapshots, which
+// produces byte-identical phase tallies, AccessStats and *decision ledgers*
+// (whose commit records carry the configuration changes) — including the
+// scoped tallies and the ledger's workload snapshots, which
 // must not leak unordered-container iteration order (or wall-clock values)
 // into anything observable (the probe plumbing runs on every operation;
 // the ledger is captured at every drift check). Every experiment replays
@@ -32,14 +33,9 @@ std::string Fmt(const AccessStats& s) {
          std::to_string(s.buffer_hits) + "h";
 }
 
-std::string Fmt(const TransitionCost& t) {
-  return Fmt(t.drop_pages) + "+" + Fmt(t.scan_pages) + "+" +
-         Fmt(t.write_pages);
-}
-
 /// One single-threaded serve of the shipped joint trace: online controller
 /// only (the costly baselines add nothing to a determinism check). Returns
-/// the serialized event log plus every pager counter.
+/// the phase tallies and the serialized ledger plus every pager counter.
 std::string ServeOnce(const TraceSpec& spec) {
   SimDatabase db(spec.schema, spec.catalog.params());
   ServeDriver driver(&db, spec, ServeOptions{1});
@@ -56,16 +52,6 @@ std::string ServeOnce(const TraceSpec& spec) {
   }
   db.SetObserver(nullptr);
   CheckOk(controller.status());
-
-  for (const JointReconfigurationEvent& ev : controller.events()) {
-    log += "event op " + std::to_string(ev.op_index) +
-           (ev.initial ? " install" : " switch") + " savings " +
-           Fmt(ev.predicted_savings_per_op) + " transition " +
-           Fmt(ev.transition) + " measured " + Fmt(ev.measured) + "\n";
-    for (const JointReconfigurationEvent::PathChange& change : ev.changes) {
-      log += "  " + change.path + " -> " + change.to.ToString() + "\n";
-    }
-  }
 
   // The serialized decision ledger rides in the same byte-equality pin: a
   // DecisionRecord holds no wall-clock values (determinism contract of

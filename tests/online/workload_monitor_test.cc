@@ -10,6 +10,11 @@ namespace {
 constexpr ClassId kA = 0;
 constexpr ClassId kB = 1;
 
+// Anonymous-path operations with no measured pages attached.
+const DbOpEvent kQueryA{DbOpKind::kQuery, kA, {}, false, {}};
+const DbOpEvent kInsertB{DbOpKind::kInsert, kB, {}, false, {}};
+const DbOpEvent kDeleteB{DbOpKind::kDelete, kB, {}, false, {}};
+
 TEST(WorkloadMonitorTest, EmptyMonitorEstimatesZero) {
   WorkloadMonitor monitor;
   EXPECT_EQ(monitor.ops_observed(), 0u);
@@ -22,9 +27,9 @@ TEST(WorkloadMonitorTest, StationaryStreamConvergesToMixProportions) {
   WorkloadMonitor monitor(/*half_life_ops=*/64);
   // Repeating block of 10 ops: 6 A-queries, 3 B-inserts, 1 B-delete.
   for (int round = 0; round < 200; ++round) {
-    for (int i = 0; i < 6; ++i) monitor.Observe(DbOpKind::kQuery, kA);
-    for (int i = 0; i < 3; ++i) monitor.Observe(DbOpKind::kInsert, kB);
-    monitor.Observe(DbOpKind::kDelete, kB);
+    for (int i = 0; i < 6; ++i) monitor.Observe(kQueryA);
+    for (int i = 0; i < 3; ++i) monitor.Observe(kInsertB);
+    monitor.Observe(kDeleteB);
   }
   const LoadDistribution load = monitor.EstimatedLoad();
   EXPECT_NEAR(load.Get(kA).query, 0.6, 0.05);
@@ -38,9 +43,9 @@ TEST(WorkloadMonitorTest, StationaryStreamConvergesToMixProportions) {
 
 TEST(WorkloadMonitorTest, PhaseShiftForgetsOldTrafficWithinHalfLives) {
   WorkloadMonitor monitor(/*half_life_ops=*/32);
-  for (int i = 0; i < 1000; ++i) monitor.Observe(DbOpKind::kQuery, kA);
+  for (int i = 0; i < 1000; ++i) monitor.Observe(kQueryA);
   // Shift: pure B-inserts. After 10 half-lives the A weight is ~2^-10.
-  for (int i = 0; i < 320; ++i) monitor.Observe(DbOpKind::kInsert, kB);
+  for (int i = 0; i < 320; ++i) monitor.Observe(kInsertB);
   const LoadDistribution load = monitor.EstimatedLoad();
   EXPECT_GT(load.Get(kB).insert, 0.97);
   EXPECT_LT(load.Get(kA).query, 0.03);
@@ -48,8 +53,8 @@ TEST(WorkloadMonitorTest, PhaseShiftForgetsOldTrafficWithinHalfLives) {
 
 TEST(WorkloadMonitorTest, NoDecayCountsPlainly) {
   WorkloadMonitor monitor(/*half_life_ops=*/0);  // decay disabled
-  for (int i = 0; i < 30; ++i) monitor.Observe(DbOpKind::kQuery, kA);
-  for (int i = 0; i < 10; ++i) monitor.Observe(DbOpKind::kInsert, kB);
+  for (int i = 0; i < 30; ++i) monitor.Observe(kQueryA);
+  for (int i = 0; i < 10; ++i) monitor.Observe(kInsertB);
   EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 40.0);
   const LoadDistribution load = monitor.EstimatedLoad();
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.75);
@@ -58,7 +63,7 @@ TEST(WorkloadMonitorTest, NoDecayCountsPlainly) {
 
 TEST(WorkloadMonitorTest, ResetClearsState) {
   WorkloadMonitor monitor;
-  monitor.Observe(DbOpKind::kQuery, kA);
+  monitor.Observe(kQueryA);
   monitor.Reset();
   EXPECT_EQ(monitor.ops_observed(), 0u);
   EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 0.0);
