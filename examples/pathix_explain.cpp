@@ -19,12 +19,13 @@
 //
 // Exit status: 0 on success, 1 on usage/IO errors, 2 on schema drift (the
 // ledger's schema_version does not match this binary, a record is missing
-// required keys, or a line is not valid JSON) — the CI smoke gate renders
-// the shipped example ledger and fails the build on drift.
+// required keys or holds one of the wrong type, or a line is not valid
+// JSON) — the CI smoke gate renders the shipped example ledger and fails
+// the build on drift.
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -56,6 +57,16 @@ bool HasAll(const JsonValue& v, const std::vector<const char*>& keys,
   return true;
 }
 
+// A member the renderers descend into must have the type they walk it as
+// (\p v is nullptr when the member is missing).
+bool IsA(const JsonValue* v, JsonValue::Type type, const char* name,
+         std::string* why) {
+  if (v != nullptr && v->type() == type) return true;
+  *why = std::string("\"") + name + "\" is not " +
+         (type == JsonValue::Type::kObject ? "an object" : "an array");
+  return false;
+}
+
 bool ValidateRecord(const JsonValue& v, std::string* why) {
   const std::string type = v.StringAt("type");
   if (type == "meta") {
@@ -64,7 +75,7 @@ bool ValidateRecord(const JsonValue& v, std::string* why) {
                 why)) {
       return false;
     }
-    const int version = static_cast<int>(v.NumberAt("schema_version", -1));
+    const double version = v.NumberAt("schema_version", -1);
     if (version != pathix::obs::kDecisionLedgerSchemaVersion) {
       std::ostringstream os;
       os << "schema_version " << version << " != supported "
@@ -75,11 +86,22 @@ bool ValidateRecord(const JsonValue& v, std::string* why) {
     return true;
   }
   if (type == "decision") {
-    return HasAll(v,
-                  {"check", "op_index", "controller", "phase", "verdict",
-                   "hold_reason", "changes", "workload", "search",
-                   "candidates", "hysteresis"},
-                  why) &&
+    using Type = JsonValue::Type;
+    if (!HasAll(v,
+                {"check", "op_index", "controller", "phase", "verdict",
+                 "hold_reason", "changes", "workload", "search",
+                 "candidates", "hysteresis"},
+                why)) {
+      return false;
+    }
+    const JsonValue* workload = v.Find("workload");
+    return IsA(v.Find("changes"), Type::kArray, "changes", why) &&
+           IsA(workload, Type::kObject, "workload", why) &&
+           IsA(workload->Find("load"), Type::kArray, "workload.load", why) &&
+           IsA(workload->Find("naive_pages_per_op"), Type::kArray,
+               "workload.naive_pages_per_op", why) &&
+           IsA(v.Find("search"), Type::kObject, "search", why) &&
+           IsA(v.Find("candidates"), Type::kArray, "candidates", why) &&
            HasAll(*v.Find("hysteresis"),
                   {"evaluated", "current_cost_per_op", "best_cost_per_op",
                    "savings_per_op", "horizon_ops", "theta", "lhs_pages",
@@ -218,10 +240,8 @@ void PrintDecisionDetail(const JsonValue& d) {
   }
 
   const JsonValue* s = d.Find("search");
-  std::printf("\nsearch: %s, %.0f pool entries, %.0f configs enumerated, "
+  std::printf("\nsearch: %.0f pool entries, %.0f configs enumerated, "
               "%.0f nodes explored, %.0f pruned\n",
-              s->BoolAt("used_branch_and_bound") ? "branch-and-bound"
-                                                 : "exhaustive/DP",
               s->NumberAt("pool_entries"), s->NumberAt("configs_enumerated"),
               s->NumberAt("nodes_explored"), s->NumberAt("nodes_pruned"));
   std::printf("  lower bound %.4f, gap %.4f", s->NumberAt("lower_bound"),
@@ -289,7 +309,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--check=", 0) == 0) {
-      check = std::strtol(arg.c_str() + 8, nullptr, 10);
+      // The whole value must parse, as a non-negative integer.
+      const char* end = arg.data() + arg.size();
+      const auto [ptr, ec] = std::from_chars(arg.data() + 8, end, check);
+      if (ec != std::errc() || ptr != end || check < 0) {
+        std::fprintf(stderr, "error: --check wants a non-negative integer\n");
+        return 1;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "error: unknown flag %s (known: --check=N)\n",
                    arg.c_str());
@@ -339,7 +365,7 @@ int main(int argc, char** argv) {
   if (check >= 0) {
     for (const JsonValue& r : records) {
       if (r.StringAt("type") == "decision" &&
-          static_cast<long>(r.NumberAt("check")) == check) {
+          r.NumberAt("check") == static_cast<double>(check)) {
         PrintDecisionDetail(r);
         return 0;
       }

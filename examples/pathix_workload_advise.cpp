@@ -102,9 +102,7 @@ int main(int argc, char** argv) {
                 s.joint_options.storage_budget_bytes / (1024.0 * 1024.0));
   }
   std::printf(
-      "\nsolver                         : %s, %ld nodes explored, %ld "
-      "pruned\n",
-      r.joint.used_branch_and_bound ? "branch-and-bound" : "exhaustive",
+      "\nsolver                         : %ld nodes explored, %ld pruned\n",
       r.joint.nodes_explored, r.joint.nodes_pruned);
   return 0;
 }

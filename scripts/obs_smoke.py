@@ -17,7 +17,8 @@ Runs the binary on a trace spec with every export flag, then checks:
   * the decision ledger JSONL parses line by line, starts with a schema-
     versioned meta record, every decision record carries the full audit
     schema (workload, search stats, candidates, both hysteresis sides,
-    changes), and its install/switch verdict count equals
+    changes; the search stats exactly, with a greedy_seed object on every
+    solved one), and its install/switch verdict count equals
     pathix_controller_reconfigurations_total;
   * the ledger's commit records chain: holds change nothing, every commit
     changes at least one path, and each change starts from the
@@ -64,10 +65,13 @@ EXPECTED_FAMILIES = [
     "pathix_advisor_resolve_duration_us_bucket",
 ]
 
-LEDGER_SCHEMA_VERSION = 2
+LEDGER_SCHEMA_VERSION = 3
 DECISION_KEYS = ("check", "op_index", "controller", "phase", "verdict",
                  "hold_reason", "changes", "workload", "search",
                  "candidates", "hysteresis")
+# Exactly these: a key outside them is schema drift too.
+SEARCH_KEYS = ("pool_entries", "configs_enumerated", "nodes_explored",
+               "nodes_pruned", "lower_bound", "bound_gap", "greedy_seed")
 HYSTERESIS_KEYS = ("evaluated", "current_cost_per_op", "best_cost_per_op",
                    "savings_per_op", "horizon_ops", "theta", "lhs_pages",
                    "modeled", "rhs_modeled_pages", "measured",
@@ -246,6 +250,14 @@ def check_ledger(path, prom_samples):
         for key in DECISION_KEYS:
             if key not in rec:
                 fail(f"ledger line {i}: decision missing {key!r}")
+        search = rec["search"]
+        if set(search) != set(SEARCH_KEYS):
+            fail(f"ledger line {i}: search keys {sorted(search)} != "
+                 f"{sorted(SEARCH_KEYS)}")
+        if search["nodes_explored"] > 0 and not isinstance(
+                search["greedy_seed"], dict):
+            fail(f"ledger line {i}: solved decision's greedy_seed is not an "
+                 "object")
         hyst = rec["hysteresis"]
         for key in HYSTERESIS_KEYS:
             if key not in hyst:

@@ -28,10 +28,10 @@ struct PerPathConfig {
 /// are restricted to the cheapest organization: swapping a dominated
 /// unshareable organization for the per-block optimum never increases the
 /// joint cost, so optimality is preserved (the swap could change storage,
-/// hence the restriction is off under a budget).
+/// hence the restriction is off under a budget). A path with more than
+/// kMaxConfigsPerPath configurations fails before any is built.
 Status EnumerateConfigs(const CandidatePool& pool, int path_index,
-                        bool restrict_orgs, long max_configs,
-                        std::vector<PerPathConfig>* out) {
+                        bool restrict_orgs, std::vector<PerPathConfig>* out) {
   const int n = pool.path_length(path_index);
   const std::vector<IndexOrg>& orgs = pool.orgs();
 
@@ -64,22 +64,40 @@ Status EnumerateConfigs(const CandidatePool& pool, int path_index,
     }
   }
 
+  // Count first, so a path past the cap fails before building anything:
+  // tail[s] = sum over the first block's end e of |allowed(s, e)| *
+  // tail[e + 1], the configurations from position s on (saturating).
+  constexpr long kSaturated = std::numeric_limits<long>::max();
+  std::vector<long> tail(static_cast<std::size_t>(n) + 2, 0);
+  tail.back() = 1;
+  for (int s = n; s >= 1; --s) {
+    long& count = tail[static_cast<std::size_t>(s)];
+    for (int e = s; e <= n; ++e) {
+      const auto width = static_cast<long>(
+          allowed[static_cast<std::size_t>(SubpathRowIndex(n, {s, e}))]
+              .size());  // >= 1
+      const long rest = tail[static_cast<std::size_t>(e) + 1];
+      count = rest > (kSaturated - count) / width ? kSaturated
+                                                  : count + width * rest;
+    }
+  }
+  const long total = tail[1];
+  if (total > kMaxConfigsPerPath) {
+    return Status::FailedPrecondition(
+        "path " + std::to_string(path_index) + " has " +
+        (total == kSaturated ? "at least " : "") + std::to_string(total) +
+        " joint candidate configurations, over the cap of " +
+        std::to_string(kMaxConfigsPerPath) +
+        "; shorten the path or trim the candidate organizations");
+  }
+  out->reserve(static_cast<std::size_t>(total));
+
   PerPathConfig partial;
   std::vector<IndexedSubpath> parts;
-  Status overflow = Status::OK();
 
   // Depth-first over the first-block end, then organizations, then the tail.
   auto recurse = [&](auto&& self, int start) -> void {
-    if (!overflow.ok()) return;
     if (start > n) {
-      if (static_cast<long>(out->size()) >= max_configs) {
-        overflow = Status::FailedPrecondition(
-            "path " + std::to_string(path_index) + " exceeds " +
-            std::to_string(max_configs) +
-            " joint candidates; shorten the path or trim the candidate "
-            "organizations");
-        return;
-      }
       PerPathConfig done = partial;
       done.config = IndexConfiguration(parts);
       out->push_back(std::move(done));
@@ -119,7 +137,6 @@ Status EnumerateConfigs(const CandidatePool& pool, int path_index,
     }
   };
   recurse(recurse, 1);
-  if (!overflow.ok()) return overflow;
 
   for (PerPathConfig& cfg : *out) cfg.lb += cfg.qp;
   std::sort(out->begin(), out->end(),
@@ -155,17 +172,9 @@ class JointSearcher {
     choice_.assign(k, -1);
   }
 
-  /// Seeds the incumbent with a concrete assignment (ignored if it busts
-  /// the budget). Guarantees the final result is no worse than the seed.
-  void Seed(const std::vector<int>& choice) {
-    double cost = 0;
-    double storage = 0;
-    for (std::size_t i = 0; i < choice.size(); ++i) {
-      const PerPathConfig& cfg =
-          configs_[i][static_cast<std::size_t>(choice[i])];
-      cost += Apply(cfg, &storage);
-    }
-    Unwind(0);
+  /// Seeds the incumbent with \p choice at its Evaluate() price (ignored
+  /// over budget), so the final result is no worse than the seed.
+  void Seed(const std::vector<int>& choice, double cost, double storage) {
     if (storage <= budget_ + kBytesEps && cost < best_cost_) {
       best_cost_ = cost;
       best_storage_ = storage;
@@ -176,8 +185,8 @@ class JointSearcher {
   void Run() { Recurse(0, 0, 0); }
 
   /// Prices one concrete assignment under the shared accounting without
-  /// touching the incumbent (Apply + full Unwind — the same arithmetic
-  /// Seed uses). For alternative scoring after the search.
+  /// touching the incumbent (Apply + full Unwind). For the greedy seed and
+  /// for alternative scoring after the search.
   std::pair<double, double> Evaluate(const std::vector<int>& choice) {
     double cost = 0;
     double storage = 0;
@@ -307,55 +316,34 @@ Result<JointSelectionResult> SelectJointConfiguration(
 
   std::vector<std::vector<PerPathConfig>> configs(
       static_cast<std::size_t>(pool.num_paths()));
-  long long combinations = 1;
   for (int i = 0; i < pool.num_paths(); ++i) {
     PATHIX_RETURN_IF_ERROR(
         EnumerateConfigs(pool, i, /*restrict_orgs=*/!has_budget,
-                         options.max_configs_per_path,
                          &configs[static_cast<std::size_t>(i)]));
-    const long long count =
-        static_cast<long long>(configs[static_cast<std::size_t>(i)].size());
-    if (combinations <= options.exhaustive_limit) {
-      combinations *= count;  // saturates past the threshold check below
-    }
-  }
-
-  bool exhaustive;
-  switch (options.algorithm) {
-    case JointOptions::Algorithm::kExhaustive:
-      exhaustive = true;
-      break;
-    case JointOptions::Algorithm::kBranchAndBound:
-      exhaustive = false;
-      break;
-    case JointOptions::Algorithm::kAuto:
-    default:
-      exhaustive = combinations <= options.exhaustive_limit;
-      break;
   }
 
   // Greedy assignment: each path's standalone optimum. Evaluating it under
   // the shared accounting reproduces the greedy merge's total.
-  const auto greedy_choice = [&configs] {
-    std::vector<int> greedy(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      std::size_t best = 0;
-      for (std::size_t c = 1; c < configs[i].size(); ++c) {
-        if (configs[i][c].full < configs[i][best].full) best = c;
-      }
-      greedy[i] = static_cast<int>(best);
+  std::vector<int> greedy(configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < configs[i].size(); ++c) {
+      if (configs[i][c].full < configs[i][best].full) best = c;
     }
-    return greedy;
-  };
+    greedy[i] = static_cast<int>(best);
+  }
 
+  const bool exhaustive =
+      options.algorithm == JointOptions::Algorithm::kExhaustive;
   JointSearcher searcher(pool, configs, options, /*use_bound=*/!exhaustive);
+  const auto [greedy_cost, greedy_storage] = searcher.Evaluate(greedy);
   if (!exhaustive) {
     // Seed the incumbent with the greedy assignment, so the result can only
     // improve on it. Exhaustive mode stays unseeded: pre-setting the
     // incumbent would change which cost-tied assignment wins (leaves accept
     // on strict improvement only), and the exhaustive pick is the tests'
     // ground truth.
-    searcher.Seed(greedy_choice());
+    searcher.Seed(greedy, greedy_cost, greedy_storage);
   }
   searcher.Run();
 
@@ -372,21 +360,16 @@ Result<JointSelectionResult> SelectJointConfiguration(
   result.total_storage_bytes = searcher.best_storage();
   result.nodes_explored = searcher.explored();
   result.nodes_pruned = searcher.pruned();
-  result.used_branch_and_bound = !exhaustive;
   for (const std::vector<PerPathConfig>& path_configs : configs) {
     result.configs_enumerated += static_cast<long>(path_configs.size());
   }
   result.lower_bound = searcher.root_lower_bound();
+  result.greedy_cost = greedy_cost;
+  result.greedy_storage_bytes = greedy_storage;
+  result.greedy_feasible =
+      greedy_storage <= options.storage_budget_bytes + kBytesEps;
 
   if (options.capture_alternatives > 0) {
-    const auto [greedy_cost, greedy_storage] =
-        searcher.Evaluate(greedy_choice());
-    result.has_greedy_seed = true;
-    result.greedy_cost = greedy_cost;
-    result.greedy_storage_bytes = greedy_storage;
-    result.greedy_feasible =
-        greedy_storage <= options.storage_budget_bytes + kBytesEps;
-
     // Score every single-config swap against the chosen assignment. The
     // enumeration order is deterministic and the sort stable, so the
     // captured list is byte-stable across runs (the decision ledger's

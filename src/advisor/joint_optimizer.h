@@ -31,8 +31,8 @@
 /// storage, for budget pruning) discounted to zero on *shareable* candidates
 /// — a path can never beat its own unshared optimum on the candidates only
 /// it can use, and on shared candidates another path may already have paid.
-/// Small instances fall back to exhaustive enumeration (also the testing
-/// ground truth).
+/// Exhaustive enumeration (JointOptions::Algorithm::kExhaustive) is the
+/// tests' ground truth only.
 
 namespace pathix {
 
@@ -41,33 +41,26 @@ namespace pathix {
 /// holds on savings no larger (a relabeling of one cost, not a gain).
 inline constexpr double kJointCostTolerance = 1e-7;
 
+/// Memory guard, not a tuning knob: a path with more configurations than
+/// this fails with FailedPrecondition before any is built.
+inline constexpr long kMaxConfigsPerPath = 500000;
+
 struct JointOptions {
   /// Maximum total bytes across the distinct chosen indexes; infinity (the
   /// default) disables the constraint.
   double storage_budget_bytes = std::numeric_limits<double>::infinity();
 
   enum class Algorithm {
-    kAuto,             ///< exhaustive when small, else branch-and-bound
-    kExhaustive,       ///< full enumeration (ground truth for tests)
-    kBranchAndBound,   ///< bounded search, greedy-seeded
+    kBranchAndBound,   ///< bounded search, greedy-seeded (production)
+    kExhaustive,       ///< full, unseeded enumeration (ground truth for tests)
   };
-  Algorithm algorithm = Algorithm::kAuto;
-
-  /// kAuto uses exhaustive enumeration when the product of per-path
-  /// configuration counts is at most this.
-  long exhaustive_limit = 20000;
-
-  /// Hard cap on the number of enumerated configurations per path; a path
-  /// beyond it fails with FailedPrecondition (shorten the path or trim the
-  /// candidate organizations).
-  long max_configs_per_path = 500000;
+  Algorithm algorithm = Algorithm::kBranchAndBound;
 
   /// Number of scored alternative assignments captured into
-  /// JointSelectionResult::alternatives (plus greedy-seed quality stats):
-  /// each alternative is the chosen assignment with exactly one path's
-  /// configuration swapped, re-priced under the shared accounting. 0 (the
-  /// default) skips the extra evaluation entirely — the search itself is
-  /// unchanged either way.
+  /// JointSelectionResult::alternatives: each alternative is the chosen
+  /// assignment with exactly one path's configuration swapped, re-priced
+  /// under the shared accounting. 0 (the default) skips the extra
+  /// evaluation entirely — the search itself is unchanged either way.
   int capture_alternatives = 0;
 };
 
@@ -105,7 +98,6 @@ struct JointSelectionResult {
   double total_storage_bytes = 0;  ///< sum over distinct chosen indexes
   long nodes_explored = 0;
   long nodes_pruned = 0;
-  bool used_branch_and_bound = false;
   /// Total enumerated per-path configurations (the search space's width).
   long configs_enumerated = 0;
   /// Admissible root lower bound: sum over paths of the cheapest
@@ -115,10 +107,8 @@ struct JointSelectionResult {
   /// Single-swap alternatives, cheapest first, capped at
   /// capture_alternatives (empty when capturing is off).
   std::vector<JointCandidateScore> alternatives;
-  /// Greedy-seed quality (capture_alternatives > 0 only): each path's
-  /// standalone optimum, priced under the shared accounting — what the
-  /// search improved on.
-  bool has_greedy_seed = false;
+  /// Greedy-seed quality: each path's standalone optimum, priced under the
+  /// shared accounting — what the search improved on.
   double greedy_cost = 0;
   double greedy_storage_bytes = 0;
   bool greedy_feasible = false;

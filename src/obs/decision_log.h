@@ -22,8 +22,10 @@ namespace pathix::obs {
 
 /// Version stamp every ledger's meta record carries; consumers reject
 /// ledgers from a different major schema (see pathix_explain).
-/// Version 2 added the per-path `changes` of commit records.
-inline constexpr int kDecisionLedgerSchemaVersion = 2;
+/// Version 2 added the per-path `changes` of commit records; version 3
+/// dropped the search's solver-mode flag and always writes
+/// `search.greedy_seed` as an object.
+inline constexpr int kDecisionLedgerSchemaVersion = 3;
 
 /// \brief Accumulates JSONL records, each written through its own
 /// JsonWriter.

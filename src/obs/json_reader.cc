@@ -1,6 +1,6 @@
 #include "obs/json_reader.h"
 
-#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -284,23 +284,31 @@ class Parser {
     return Error("unterminated string");
   }
 
+  /// RFC 8259's -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? — strtod
+  /// alone also takes "+1", "01", ".5", "1." and hex.
   Status ParseNumber(JsonValue* out) {
     const std::size_t start = pos_;
-    if (Consume('-')) {
-    }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+      }
+      return pos_ > from;
+    };
+    Consume('-');
+    bool ok = Consume('0') ? !digits() : digits();  // no leading zeros
+    if (ok && Consume('.')) ok = digits();
+    if (ok && (Consume('e') || Consume('E'))) {
+      if (!Consume('+')) Consume('-');
+      ok = digits();
     }
     if (pos_ == start) return Error("expected a value");
     // strtod needs a terminated buffer; the slice is short, copy it.
     const std::string token(text_.substr(start, pos_ - start));
-    errno = 0;
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || errno == ERANGE) {
+    // Of strtod's ERANGE cases only overflow is an error: it rounds an
+    // underflow to the nearest subnormal, which is what the writer wrote.
+    const double value = ok ? std::strtod(token.c_str(), nullptr) : 0;
+    if (!ok || std::isinf(value)) {
       pos_ = start;
       return Error("malformed number '" + token + "'");
     }

@@ -103,18 +103,13 @@ void WriteDecisionRecord(obs::DecisionLog* log, const DecisionRecord& rec) {
           .Value(static_cast<std::int64_t>(s.configs_enumerated))
       .Key("nodes_explored").Value(static_cast<std::int64_t>(s.nodes_explored))
       .Key("nodes_pruned").Value(static_cast<std::int64_t>(s.nodes_pruned))
-      .Key("used_branch_and_bound").Value(s.used_branch_and_bound)
       .Key("lower_bound").Value(s.lower_bound)
       .Key("bound_gap").Value(s.bound_gap);
-  if (s.has_greedy_seed) {
-    w.Key("greedy_seed").BeginObject()
-        .Key("cost").Value(s.greedy_seed_cost)
-        .Key("gap").Value(s.greedy_seed_gap)
-        .Key("feasible").Value(s.greedy_seed_feasible)
-        .EndObject();
-  } else {
-    w.Key("greedy_seed").Null();
-  }
+  w.Key("greedy_seed").BeginObject()
+      .Key("cost").Value(s.greedy_seed_cost)
+      .Key("gap").Value(s.greedy_seed_gap)
+      .Key("feasible").Value(s.greedy_seed_feasible)
+      .EndObject();
   w.EndObject();  // search
 
   w.Key("candidates").BeginArray();

@@ -84,14 +84,12 @@ struct DecisionSearchStats {
   long configs_enumerated = 0; ///< enumerated per-path configurations
   long nodes_explored = 0;
   long nodes_pruned = 0;
-  bool used_branch_and_bound = false;
   /// Admissible root lower bound of the joint search (0 when n/a); the
   /// chosen cost is always >= it.
   double lower_bound = 0;
   double bound_gap = 0;        ///< chosen cost - lower_bound
-  bool has_greedy_seed = false;
   double greedy_seed_cost = 0; ///< the greedy assignment, shared accounting
-  double greedy_seed_gap = 0;  ///< greedy_seed_cost - chosen cost (>= 0)
+  double greedy_seed_gap = 0;  ///< seed cost - chosen cost (>= 0 if feasible)
   bool greedy_seed_feasible = false;  ///< greedy fits the storage budget
 };
 

@@ -209,10 +209,8 @@ bool JointReconfigurationController::Check() {
   rec.search.configs_enumerated = joint.value().configs_enumerated;
   rec.search.nodes_explored = joint.value().nodes_explored;
   rec.search.nodes_pruned = joint.value().nodes_pruned;
-  rec.search.used_branch_and_bound = joint.value().used_branch_and_bound;
   rec.search.lower_bound = joint.value().lower_bound;
   rec.search.bound_gap = joint.value().total_cost - joint.value().lower_bound;
-  rec.search.has_greedy_seed = joint.value().has_greedy_seed;
   rec.search.greedy_seed_cost = joint.value().greedy_cost;
   rec.search.greedy_seed_gap =
       joint.value().greedy_cost - joint.value().total_cost;

@@ -36,8 +36,8 @@
 /// unbudgeted path contributes its 2^(n-1) recombinations (each block
 /// under its cheapest organization) to every drift check. Under a budget
 /// every block keeps every organization: |orgs| * (|orgs| + 1)^(n-1)
-/// configurations. Past JointOptions::max_configs_per_path (500,000) the
-/// solve fails with FailedPrecondition and the controller goes dormant
+/// configurations. Past kMaxConfigsPerPath (500,000) the solve fails at
+/// once with FailedPrecondition and the controller goes dormant
 /// (status()): from n = 20 without a budget, from n = 10 under one with
 /// the default MX/MIX/NIX. tests/online/joint_equivalence_test.cc pins the
 /// one-path commit records on the shipped drift trace to a golden.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "advisor/workload_advisor.h"
 #include "datagen/paper_schema.h"
@@ -102,9 +104,24 @@ TEST_F(JointOptimizerTest, ExhaustiveAndBranchAndBoundAgree) {
   const JointSelectionResult ex = SelectJointConfiguration(pool, ex_opts).value();
   const JointSelectionResult bb = SelectJointConfiguration(pool, bb_opts).value();
   EXPECT_NEAR(ex.total_cost, bb.total_cost, 1e-9);
-  EXPECT_FALSE(ex.used_branch_and_bound);
-  EXPECT_TRUE(bb.used_branch_and_bound);
   EXPECT_LT(bb.nodes_explored, ex.nodes_explored);
+}
+
+TEST_F(JointOptimizerTest, DefaultSolveIsTheBoundedSearch) {
+  const CandidatePool pool =
+      CandidatePool::Build(setup_.schema, setup_.catalog, {paths_[0]})
+          .value();
+  JointOptions bb_opts;
+  bb_opts.algorithm = JointOptions::Algorithm::kBranchAndBound;
+  JointOptions ex_opts;
+  ex_opts.algorithm = JointOptions::Algorithm::kExhaustive;
+  const JointSelectionResult def = SelectJointConfiguration(pool).value();
+  const JointSelectionResult bb = SelectJointConfiguration(pool, bb_opts).value();
+  const JointSelectionResult ex = SelectJointConfiguration(pool, ex_opts).value();
+  EXPECT_TRUE(def.per_path[0].config == bb.per_path[0].config);
+  EXPECT_EQ(def.total_cost, bb.total_cost);
+  EXPECT_EQ(def.nodes_explored, bb.nodes_explored);
+  EXPECT_LT(def.nodes_explored, ex.nodes_explored);
 }
 
 TEST_F(JointOptimizerTest, SinglePathMatchesStandaloneAdvisor) {
@@ -190,6 +207,58 @@ TEST_F(JointOptimizerTest, IdenticalPathsPayMaintenanceOnce) {
   for (const ChosenIndex& c : joint.chosen) {
     EXPECT_EQ(c.path_indexes.size(), 2u);
   }
+}
+
+/// A one-path pool over the reference chain C0 -> ... -> C_depth ending in
+/// an atomic attribute: a path of n = depth + 1 attributes.
+CandidatePool ChainPool(int depth) {
+  Schema schema;
+  Catalog catalog;
+  std::vector<ClassId> classes;
+  for (int i = 0; i <= depth; ++i) {
+    classes.push_back(schema.AddClass("C" + std::to_string(i)).value());
+    catalog.SetClassStats(classes.back(), ClassStats{10000, 5000, 1, 64});
+  }
+  std::vector<std::string> attrs;
+  for (int i = 0; i < depth; ++i) {
+    attrs.push_back("a" + std::to_string(i));
+    EXPECT_TRUE(schema
+                    .AddReferenceAttribute(
+                        classes[static_cast<std::size_t>(i)], attrs.back(),
+                        classes[static_cast<std::size_t>(i + 1)],
+                        /*multi_valued=*/false)
+                    .ok());
+  }
+  attrs.push_back("name");
+  EXPECT_TRUE(
+      schema.AddAtomicAttribute(classes.back(), "name", AtomicType::kString)
+          .ok());
+  PathWorkload w;
+  w.path = Path::Create(schema, classes.front(), attrs).value();
+  for (const ClassId cls : classes) w.load.Set(cls, 0.5, 0.1, 0.1);
+  return CandidatePool::Build(schema, catalog, {w}).value();
+}
+
+TEST(JointOptimizerCapTest, PathPastTheCapFailsBeforeEnumerating) {
+  const auto expect_over_cap = [](const Result<JointSelectionResult>& r,
+                                  const char* count) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(r.status().message().find(count), std::string::npos)
+        << r.status().ToString();
+  };
+  // Under a budget every block keeps all three organizations:
+  // 3 * 4^9 = 786432 configurations at n = 10.
+  JointOptions budgeted;
+  budgeted.storage_budget_bytes = 1e12;
+  expect_over_cap(SelectJointConfiguration(ChainPool(9), budgeted), "786432");
+  // Without one, each block keeps its cheapest: 2^19 = 524288 at n = 20.
+  expect_over_cap(SelectJointConfiguration(ChainPool(19)), "524288");
+  // 2^8 = 256 at n = 9 is well inside the cap.
+  const Result<JointSelectionResult> inside =
+      SelectJointConfiguration(ChainPool(8));
+  ASSERT_TRUE(inside.ok()) << inside.status().ToString();
+  EXPECT_EQ(inside.value().configs_enumerated, 256);
 }
 
 }  // namespace

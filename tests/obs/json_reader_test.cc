@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -21,6 +22,9 @@ TEST(JsonReaderTest, ScalarsAndTypes) {
   EXPECT_TRUE(ParseJson("true").value().AsBool());
   EXPECT_FALSE(ParseJson("false").value().AsBool(true));
   EXPECT_DOUBLE_EQ(ParseJson("-12.5e2").value().AsNumber(), -1250);
+  for (const char* number : {"0", "-0", "0.5", "1E+2", "2e-3", "10"}) {
+    EXPECT_TRUE(ParseJson(number).ok()) << number;
+  }
   EXPECT_EQ(ParseJson("\"hi\"").value().AsString(), "hi");
   EXPECT_TRUE(ParseJson("  [1, 2]  ").value().is_array());
   EXPECT_TRUE(ParseJson("{}").value().is_object());
@@ -64,6 +68,8 @@ TEST(JsonReaderTest, RoundTripsTheWriter) {
       .Key("pi").Value(3.141592653589793)
       .Key("neg").Value(-0.0625)
       .Key("big").Value(1e18)
+      .Key("denorm").Value(std::numeric_limits<double>::denorm_min())
+      .Key("subnormal").Value(std::numeric_limits<double>::min() / 4)
       .Key("n").Value(static_cast<std::uint64_t>(1234567890123456789ULL))
       .Key("s").Value(std::string("sp\"ec\\ial\n"))
       .Key("flag").Value(true)
@@ -77,6 +83,13 @@ TEST(JsonReaderTest, RoundTripsTheWriter) {
   EXPECT_DOUBLE_EQ(v.value().NumberAt("pi"), 3.141592653589793);
   EXPECT_DOUBLE_EQ(v.value().NumberAt("neg"), -0.0625);
   EXPECT_DOUBLE_EQ(v.value().NumberAt("big"), 1e18);
+  // Subnormals come back bit-exact (strtod flags their underflow).
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(v.value().NumberAt("denorm")),
+            std::bit_cast<std::uint64_t>(
+                std::numeric_limits<double>::denorm_min()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(v.value().NumberAt("subnormal")),
+            std::bit_cast<std::uint64_t>(
+                std::numeric_limits<double>::min() / 4));
   EXPECT_DOUBLE_EQ(v.value().NumberAt("n"), 1234567890123456789.0);
   EXPECT_EQ(v.value().StringAt("s"), "sp\"ec\\ial\n");
   EXPECT_TRUE(v.value().BoolAt("flag"));
@@ -105,6 +118,11 @@ TEST(JsonReaderTest, ErrorsCarryByteOffsets) {
   expect_invalid("1 2");  // trailing garbage
   expect_invalid("\"\\u12\"");
   expect_invalid("\"\\ud800\"");  // lone surrogate
+  // Numbers outside RFC 8259's grammar, which strtod alone would take.
+  for (const char* number : {"+1", "01", ".5", "1.", "-", "1e", "1e+"}) {
+    expect_invalid(number);
+  }
+  expect_invalid("1e999");  // overflows a double
 }
 
 TEST(JsonReaderTest, DepthCapRejectsDeepNesting) {
