@@ -20,28 +20,32 @@
 ///
 /// Lock ordering. The engine's mutex hierarchy is strictly leaf-ward:
 ///
-///   SimDatabase commit mutex  >  SimDatabase observer mutex
-///     >  controller check mutex
+///   SimDatabase commit mutex  >  controller check mutex
 ///     >  PhysicalPartRegistry  >  PhysicalPart latch  >  ObjectStore
-///                                                     >  Pager
+///                                                     >  Pager cells
 ///
-/// i.e. the Pager's mutex is a leaf (Note* never calls out), part latches
-/// and the ObjectStore's methods may call into the Pager, and
+/// i.e. the Pager's tally cells are leaves (Note* never calls out), part
+/// latches and the ObjectStore's methods may call into the Pager, and
 /// Registry::Acquire may call into all of them while building a part. The
 /// SimDatabase commit mutex serializes configuration epoch swaps against
-/// update operations and is taken before anything else. Never call upward
-/// (e.g. from index code back into the registry) while holding a
-/// downstream mutex.
+/// update operations and is taken before anything else. The database's
+/// observer is an atomic pointer, not a lock, and observers run holding
+/// nothing. Never call upward (e.g. from index code back into the
+/// registry) while holding a downstream mutex.
 ///
-/// The buffer pool's sharded frame-table latches (storage/buffer_pool.h)
-/// are leaves beside the Pager's mutex: a buffered page touch takes one
-/// shard latch, releases it, and only then (if unframed) takes the pager
-/// mutex for the stats — the two are never held together. Pool-wide
-/// operations (Resize/FlushAll/GetStats) take every shard latch in index
-/// order and call nothing while holding them.
+/// The Pager's counters live in per-thread cells (common/thread_slot.h),
+/// one leaf mutex each: a frame close or unframed touch locks only its own
+/// thread's cell, and the readers lock every cell in index order and call
+/// nothing while holding them. The buffer pool's sharded frame-table
+/// latches (storage/buffer_pool.h) are leaves beside the cells: a buffered
+/// page touch takes one shard latch, releases it, and only then (if
+/// unframed) takes its cell for the stats — the two are never held
+/// together. Pool-wide operations (Resize/FlushAll/GetStats) take every
+/// shard latch in index order and call nothing while holding them.
 ///
 /// The observability layer (obs/metrics.h, obs/trace.h) sits below the
-/// whole hierarchy: every per-metric mutex, the registry map mutex and the
+/// whole hierarchy: every metric cell mutex (counters and histograms keep
+/// one per thread slot), every gauge mutex, the registry map mutex and the
 /// tracer's event mutex are *leaves* — their methods never call out — so
 /// counters may be bumped and spans opened from inside any engine-locked
 /// region. The converse is the rule to keep: never call engine code while

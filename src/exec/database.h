@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,9 +37,14 @@
 /// between updates: index maintenance always runs against a configuration
 /// that is still current when the op's probe closes. Structure access
 /// below this level is latched per part and sharded per class
-/// (index/part_registry.h, storage/object_store.h). Path *registration*
-/// is not serialized against serving — register every path before
-/// spinning up worker threads.
+/// (index/part_registry.h, storage/object_store.h). After its probe, an
+/// operation's accounting goes to per-thread cells — the pager's tallies
+/// (storage/pager.h) and the metric counters and histograms
+/// (obs/metrics.h) — and Notify finds the observer with one atomic load,
+/// so a query writes no cache line that other serving threads write
+/// before the observer runs. Path *registration* is not serialized
+/// against serving — register every path before spinning up worker
+/// threads.
 
 namespace pathix {
 
@@ -179,9 +185,8 @@ class SimDatabase {
   /// Registers \p observer for the operation stream (nullptr detaches).
   /// At most one observer; the caller keeps ownership and must detach (or
   /// outlive the database) before the observer dies.
-  void SetObserver(DbOpObserver* observer) EXCLUDES(observer_mu_) {
-    MutexLock lock(&observer_mu_);
-    observer_ = observer;
+  void SetObserver(DbOpObserver* observer) {
+    observer_.store(observer, std::memory_order_release);
   }
 
   // -------------------------------------------------------------- queries
@@ -239,19 +244,14 @@ class SimDatabase {
     obs::Histogram* pages = nullptr;
   };
 
-  /// Dispatches to the registered observer. The pointer is read under
-  /// observer_mu_ but the callback runs outside it: observers reconfigure
-  /// the database from within OnOperation, and holding any lock across
-  /// that re-entry would deadlock.
+  /// Dispatches to the registered observer. The pointer is one atomic
+  /// load (acquire, pairing with SetObserver's release store), so a read
+  /// takes no lock and writes no shared cache line to find its observer;
+  /// the callback runs holding no lock at all, since observers reconfigure
+  /// the database from within OnOperation.
   void Notify(DbOpKind kind, ClassId cls, const AccessStats& pages,
-              std::string_view path = {}, bool naive = false)
-      EXCLUDES(observer_mu_) {
-    DbOpObserver* observer = nullptr;
-    {
-      ReaderMutexLock lock(&observer_mu_);
-      observer = observer_;
-    }
-    if (observer != nullptr) {
+              std::string_view path = {}, bool naive = false) {
+    if (DbOpObserver* observer = observer_.load(std::memory_order_acquire)) {
       observer->OnOperation({kind, cls, path, naive, pages});
     }
   }
@@ -311,8 +311,7 @@ class SimDatabase {
   /// updates. Queries never touch it — they run on pinned snapshots.
   /// Top of the lock hierarchy (common/mutex.h).
   mutable Mutex commit_mu_;
-  mutable Mutex observer_mu_;
-  DbOpObserver* observer_ GUARDED_BY(observer_mu_) = nullptr;
+  std::atomic<DbOpObserver*> observer_{nullptr};
 };
 
 }  // namespace pathix

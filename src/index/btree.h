@@ -4,6 +4,9 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/math.h"
@@ -42,11 +45,11 @@ namespace pathix {
 struct BatchCharge {
   std::set<PageId> reads;
   std::set<PageId> writes;
-  /// Overflow-chain pages, identified by (record key hash, page index):
-  /// within one batched operation a record's chain is buffered after the
-  /// first fetch ("a page will be fetched only once", Section 3.1).
-  std::set<std::pair<std::size_t, std::size_t>> chain_reads;
-  std::set<std::pair<std::size_t, std::size_t>> chain_writes;
+  /// Overflow-chain pages, identified by (record key, page index): within
+  /// one batched operation a record's chain is buffered after the first
+  /// fetch ("a page will be fetched only once", Section 3.1).
+  std::set<std::pair<Key, std::size_t>> chain_reads;
+  std::set<std::pair<Key, std::size_t>> chain_writes;
 };
 
 /// Posting entry of an index record: an object holding the record's key
@@ -64,6 +67,12 @@ struct Posting {
 };
 
 /// Leaf record of the posting-list indexes: key value -> postings.
+///
+/// The postings are kept strictly increasing in (cls, oid), so each
+/// class's postings form one contiguous, oid-ordered slice: the per-class
+/// layout of a NIX record (Section 3.1, Figure 3), which a query w.r.t.
+/// one class reads without scanning the others. The maintenance methods
+/// below keep that order; the indexes' Validate checks it (Ordered()).
 struct PostingRecord {
   Key key_value;
   std::vector<Posting> postings;
@@ -71,6 +80,57 @@ struct PostingRecord {
   const Key& key() const { return key_value; }
   std::size_t bytes() const {
     return key_value.bytes() + 8 + postings.size() * Posting::kBytes;
+  }
+
+  /// The postings of class \p cls (empty when it has none).
+  std::span<const Posting> Slice(ClassId cls) const {
+    const auto [first, last] =
+        std::equal_range(postings.begin(), postings.end(), cls, ByClass{});
+    return {first, last};
+  }
+
+  /// The posting (\p cls, \p oid), or postings.end().
+  std::vector<Posting>::iterator Find(ClassId cls, Oid oid) {
+    const auto it = LowerBound(cls, oid);
+    return IsAt(it, cls, oid) ? it : postings.end();
+  }
+
+  /// Adds \p numchild to the posting (\p cls, \p oid), inserting it in
+  /// order when absent (a multi-valued attribute holding a value twice
+  /// bumps the existing posting).
+  void AddOrBump(ClassId cls, Oid oid, std::int32_t numchild) {
+    const auto it = LowerBound(cls, oid);
+    if (IsAt(it, cls, oid)) {
+      it->numchild += numchild;
+      return;
+    }
+    postings.insert(it, Posting{cls, oid, numchild});
+  }
+
+  /// True when the postings are strictly increasing in (cls, oid).
+  bool Ordered() const {
+    return std::adjacent_find(postings.begin(), postings.end(),
+                              [](const Posting& a, const Posting& b) {
+                                return !Before(a, b);
+                              }) == postings.end();
+  }
+
+ private:
+  static bool Before(const Posting& a, const Posting& b) {
+    return std::tie(a.cls, a.oid) < std::tie(b.cls, b.oid);
+  }
+  struct ByClass {
+    bool operator()(const Posting& p, ClassId cls) const { return p.cls < cls; }
+    bool operator()(ClassId cls, const Posting& p) const { return cls < p.cls; }
+  };
+
+  std::vector<Posting>::iterator LowerBound(ClassId cls, Oid oid) {
+    return std::lower_bound(postings.begin(), postings.end(),
+                            Posting{cls, oid, 0}, Before);
+  }
+  bool IsAt(std::vector<Posting>::const_iterator it, ClassId cls,
+            Oid oid) const {
+    return it != postings.end() && it->cls == cls && it->oid == oid;
   }
 };
 
@@ -368,19 +428,16 @@ class BTree {
     return &*it;
   }
 
-  static std::size_t RecordIdentity(const Record& rec) {
-    return std::hash<std::string>{}(rec.key().ToString());
-  }
-
   void CountChainReads(const Record& rec, std::size_t pages,
                        BatchCharge* batch = nullptr) {
     if (batch == nullptr) {
       pager_->NoteReads(pages);
       return;
     }
-    const std::size_t id = RecordIdentity(rec);
     for (std::size_t i = 0; i < pages; ++i) {
-      if (batch->chain_reads.insert({id, i}).second) pager_->NoteReads(1);
+      if (batch->chain_reads.emplace(rec.key(), i).second) {
+        pager_->NoteReads(1);
+      }
     }
   }
 
@@ -399,9 +456,8 @@ class BTree {
       for (std::size_t i = 0; i < touched; ++i) pager_->NoteWrite(leaf->page);
       return;
     }
-    const std::size_t id = RecordIdentity(rec);
     for (std::size_t i = 0; i < touched; ++i) {
-      if (batch->chain_writes.insert({id, i}).second) {
+      if (batch->chain_writes.emplace(rec.key(), i).second) {
         pager_->NoteWrite(leaf->page);
       }
     }
@@ -588,5 +644,20 @@ class BTree {
 
 using PostingTree = BTree<PostingRecord>;
 using AuxTree = BTree<AuxRecord>;
+
+/// \p tree's structural invariants, plus the posting order every record
+/// keeps (PostingRecord: strictly increasing in (cls, oid)).
+inline Status ValidatePostings(const PostingTree& tree) {
+  PATHIX_RETURN_IF_ERROR(tree.ValidateStructure());
+  Status status = Status::OK();
+  tree.ForEach([&](const PostingRecord& rec) {
+    if (status.ok() && !rec.Ordered()) {
+      status = Status::Internal(
+          tree.name() + ": postings of key " + rec.key().ToString() +
+          " are not strictly increasing in (cls, oid)");
+    }
+  });
+  return status;
+}
 
 }  // namespace pathix

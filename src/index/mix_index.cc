@@ -81,7 +81,7 @@ void MIXIndex::OnBoundaryDelete(Oid oid) {
 
 Status MIXIndex::Validate() const {
   for (const auto& [level, tree] : trees_) {
-    PATHIX_RETURN_IF_ERROR(tree->tree().ValidateStructure());
+    PATHIX_RETURN_IF_ERROR(ValidatePostings(tree->tree()));
   }
   return Status::OK();
 }

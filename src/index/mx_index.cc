@@ -97,7 +97,7 @@ void MXIndex::OnBoundaryDelete(Oid oid) {
 
 Status MXIndex::Validate() const {
   for (const auto& [key, tree] : trees_) {
-    PATHIX_RETURN_IF_ERROR(tree->tree().ValidateStructure());
+    PATHIX_RETURN_IF_ERROR(ValidatePostings(tree->tree()));
   }
   return Status::OK();
 }

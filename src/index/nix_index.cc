@@ -1,6 +1,8 @@
 #include "index/nix_index.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 namespace pathix {
 
@@ -18,27 +20,15 @@ AuxRecord MakeAuxRecord(Oid oid) {
   return rec;
 }
 
-void AddOrBumpPosting(PostingRecord* rec, ClassId cls, Oid oid,
-                      std::int32_t numchild) {
-  for (Posting& p : rec->postings) {
-    if (p.oid == oid && p.cls == cls) {
-      p.numchild += numchild;
-      return;
-    }
-  }
-  rec->postings.push_back(Posting{cls, oid, numchild});
-}
-
-/// Bytes of the slice of \p rec holding the postings of \p classes, plus
-/// the record header/directory (what a partial read must fetch).
+/// Bytes of the slices of \p rec holding the postings of \p classes
+/// (distinct class ids), plus the record header/directory (what a partial
+/// read must fetch).
 template <typename ClassContainer>
 std::size_t SliceBytes(const PostingRecord& rec,
                        const ClassContainer& classes) {
   std::size_t bytes = rec.key_value.bytes() + 16;
-  for (const Posting& p : rec.postings) {
-    if (std::find(classes.begin(), classes.end(), p.cls) != classes.end()) {
-      bytes += Posting::kBytes;
-    }
+  for (ClassId cls : classes) {
+    bytes += rec.Slice(cls).size() * Posting::kBytes;
   }
   return bytes;
 }
@@ -148,11 +138,11 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
       for (Oid oid : store.PeekAll(cls)) {
         const ReachSet& mine = reach[oid];
         for (const auto& [key, nc] : mine) {
+          // PeekAll is not in oid order once slots are reused, so the
+          // posting goes to its place in the record, not to the end.
           primary_.UpsertUncounted(
               key, [&] { return MakePostingRecord(key); },
-              [&](PostingRecord* rec) {
-                rec->postings.push_back(Posting{cls, oid, nc});
-              });
+              [&](PostingRecord* rec) { rec->AddOrBump(cls, oid, nc); });
         }
         if (HasAuxTuple(l)) {
           const Key akey = Key::FromOid(oid);
@@ -177,23 +167,31 @@ std::vector<Oid> NIXIndex::Probe(const std::vector<Key>& keys,
                                  int target_level,
                                  const std::vector<ClassId>& target_classes) {
   (void)target_level;
+  // One key's descent and chain never repeat a page, so only a batch of
+  // keys needs the charge deduplication.
   BatchCharge batch;
+  BatchCharge* dedup = keys.size() > 1 ? &batch : nullptr;
   std::vector<Oid> oids;
   for (const Key& key : keys) {
     const PostingRecord* rec = primary_.LookupPartialFn(
         key,
         [&](const PostingRecord& r) { return SliceBytes(r, target_classes); },
-        &batch);
+        dedup);
     if (rec == nullptr) continue;
-    for (const Posting& p : rec->postings) {
-      if (std::find(target_classes.begin(), target_classes.end(), p.cls) !=
-          target_classes.end()) {
-        oids.push_back(p.oid);
-      }
+    for (ClassId cls : target_classes) {
+      const std::span<const Posting> slice = rec->Slice(cls);
+      const std::size_t at = oids.size();
+      oids.resize(at + slice.size());
+      std::transform(slice.begin(), slice.end(), oids.begin() + at,
+                     [](const Posting& p) { return p.oid; });
     }
   }
-  std::sort(oids.begin(), oids.end());
-  oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
+  // A single class slice of a single record is already oid-ordered and
+  // duplicate-free.
+  if (keys.size() > 1 || target_classes.size() > 1) {
+    std::sort(oids.begin(), oids.end());
+    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
+  }
   return oids;
 }
 
@@ -218,9 +216,7 @@ void NIXIndex::OnInsert(const Object& obj, int level) {
   for (const auto& [key, nc] : reach) {
     primary_.Upsert(
         key, [&] { return MakePostingRecord(key); },
-        [&](PostingRecord* rec) {
-          AddOrBumpPosting(rec, obj.cls, obj.oid, nc);
-        },
+        [&](PostingRecord* rec) { rec->AddOrBump(obj.cls, obj.oid, nc); },
         /*touched_chain_pages=*/1, &primary_batch);
   }
   // Step 4: the new object's own 3-tuple (no parents yet: references are
@@ -286,15 +282,11 @@ void NIXIndex::OnDelete(const Object& obj, int level) {
       primary_.MutateWithTouch(
           key,
           [&](PostingRecord* rec) {
-            rec->postings.erase(
-                std::remove_if(rec->postings.begin(), rec->postings.end(),
-                               [&](const Posting& p) {
-                                 return p.oid == obj.oid;
-                               }),
-                rec->postings.end());
+            const auto it = rec->Find(cls, obj.oid);
+            if (it != rec->postings.end()) rec->postings.erase(it);
           },
           [&](const PostingRecord& rec) {
-            return SlicePages(rec, std::vector<ClassId>{cls}, page_size);
+            return SlicePages(rec, std::array<ClassId, 1>{cls}, page_size);
           },
           &primary_op_batch);
     }
@@ -394,7 +386,7 @@ void NIXIndex::OnBoundaryDelete(Oid oid) {
 // --------------------------------------------------------------- validate
 
 Status NIXIndex::Validate() const {
-  PATHIX_RETURN_IF_ERROR(primary_.ValidateStructure());
+  PATHIX_RETURN_IF_ERROR(ValidatePostings(primary_));
   PATHIX_RETURN_IF_ERROR(aux_.ValidateStructure());
 
   // Cross-consistency: every aux pointer must resolve to a primary record

@@ -10,37 +10,25 @@ PostingRecord MakeRecord(const Key& key) {
   return rec;
 }
 
-void AddPosting(PostingRecord* rec, ClassId cls, Oid oid) {
-  for (Posting& p : rec->postings) {
-    if (p.cls == cls && p.oid == oid) {
-      ++p.numchild;  // multi-valued attribute holding the value twice
-      return;
-    }
-  }
-  rec->postings.push_back(Posting{cls, oid, 1});
-}
-
 }  // namespace
 
 void AttrIndex::AddEntryUncounted(const Key& key, ClassId cls, Oid oid) {
   tree_.UpsertUncounted(
       key, [&] { return MakeRecord(key); },
-      [&](PostingRecord* rec) { AddPosting(rec, cls, oid); });
+      [&](PostingRecord* rec) { rec->AddOrBump(cls, oid, 1); });
 }
 
 void AttrIndex::AddEntry(const Key& key, ClassId cls, Oid oid) {
   tree_.Upsert(
       key, [&] { return MakeRecord(key); },
-      [&](PostingRecord* rec) { AddPosting(rec, cls, oid); });
+      [&](PostingRecord* rec) { rec->AddOrBump(cls, oid, 1); });
 }
 
 void AttrIndex::RemoveEntry(const Key& key, ClassId cls, Oid oid) {
   tree_.Mutate(key, [&](PostingRecord* rec) {
-    for (auto it = rec->postings.begin(); it != rec->postings.end(); ++it) {
-      if (it->cls == cls && it->oid == oid) {
-        if (--it->numchild <= 0) rec->postings.erase(it);
-        return;
-      }
+    const auto it = rec->Find(cls, oid);
+    if (it != rec->postings.end() && --it->numchild <= 0) {
+      rec->postings.erase(it);
     }
   });
 }

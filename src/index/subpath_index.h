@@ -71,7 +71,8 @@ class SubpathIndex {
   /// Evaluates the subpath: \p keys are values of the subpath's ending
   /// attribute A_b (the query constant, or oids delivered by the next
   /// subpath); returns the oids of objects of \p target_classes at
-  /// \p target_level that reach one of the keys.
+  /// \p target_level that reach one of the keys, increasing and without
+  /// duplicates.
   virtual std::vector<Oid> Probe(const std::vector<Key>& keys,
                                  int target_level,
                                  const std::vector<ClassId>& target_classes) = 0;

@@ -114,11 +114,6 @@ void HistogramData::MergeFrom(const HistogramData& other) {
   max = std::max(max, other.max);
 }
 
-void Histogram::Observe(double value) {
-  MutexLock lock(&mu_);
-  data_.Observe(value);
-}
-
 const char* ToString(MetricType type) {
   switch (type) {
     case MetricType::kCounter:

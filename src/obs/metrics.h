@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/thread_slot.h"
 
 /// \file metrics.h
 /// \brief The metrics registry: named counters, gauges and log-bucketed
@@ -17,11 +18,14 @@
 ///
 /// A MetricsRegistry is a map from (name, label set) to a metric object
 /// with a stable address; hot paths resolve their handles once and then
-/// update through the pointer (one leaf mutex per metric, no registry
-/// lookup per operation). Every shared-state rule of common/mutex.h
-/// applies: metric mutexes and the registry mutex are *leaves* of the lock
-/// hierarchy — metric methods never call out — so instrumentation may be
-/// dropped into any locked region of the engine.
+/// update through the pointer (no registry lookup per operation). Counters
+/// and histograms keep one cell per thread slot (common/thread_slot.h): an
+/// update locks only the calling thread's cell, so serving threads write
+/// no shared cache line, and a read merges every cell. Every shared-state
+/// rule of common/mutex.h applies: the cell mutexes, the gauges' mutexes
+/// and the registry mutex are *leaves* of the lock hierarchy — metric
+/// methods never call out — so instrumentation may be dropped into any
+/// locked region of the engine.
 ///
 /// Instances compose: SimDatabase owns one registry per database (so two
 /// replays of the same trace in one process — online vs oracle vs static —
@@ -42,32 +46,35 @@ namespace pathix::obs {
 /// Sorted (key, value) pairs identifying one series of a metric family.
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
 
-/// \brief Monotonically-increasing value.
+/// \brief Monotonically-increasing value: the sum of its per-thread cells.
 class Counter {
  public:
   /// Adds \p delta (negative deltas are ignored — counters only go up).
-  void Increment(double delta = 1.0) EXCLUDES(mu_) {
+  void Increment(double delta = 1.0) {
     if (delta <= 0) return;
-    MutexLock lock(&mu_);
-    value_ += delta;
+    cells_.Local([delta](double& v) { v += delta; });
   }
 
   /// Overwrites the value from an external monotone source (the pager's
   /// tallies, the registry's build counters): mirroring, not counting.
-  /// The caller owns the monotonicity argument.
-  void MirrorTo(double value) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    value_ = value;
+  /// The caller owns the monotonicity argument. One cell takes the value
+  /// and the others are zeroed, all under every cell's lock.
+  void MirrorTo(double value) {
+    bool first = true;
+    cells_.ForEach([&](double& v) {
+      v = first ? value : 0;
+      first = false;
+    });
   }
 
-  double Value() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return value_;
+  double Value() const {
+    double sum = 0;
+    cells_.ForEach([&](double v) { sum += v; });
+    return sum;
   }
 
  private:
-  mutable Mutex mu_;
-  double value_ GUARDED_BY(mu_) = 0;
+  ThreadCells<double> cells_;
 };
 
 /// \brief Point-in-time value that may move in both directions.
@@ -143,45 +150,36 @@ struct HistogramData {
   HistogramData DeltaSince(const HistogramData& earlier) const;
 };
 
-/// \brief Log-bucketed distribution of latencies or sizes.
+/// \brief Log-bucketed distribution of latencies or sizes: the merge of
+/// its per-thread cells.
 class Histogram {
  public:
-  void Observe(double value) EXCLUDES(mu_);
+  void Observe(double value) {
+    cells_.Local([value](HistogramData& d) { d.Observe(value); });
+  }
 
   /// Folds a per-thread HistogramData tally into this histogram under one
   /// lock acquisition (vs one per Observe).
-  void MergeFrom(const HistogramData& tally) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    data_.MergeFrom(tally);
+  void MergeFrom(const HistogramData& tally) {
+    cells_.Local([&](HistogramData& d) { d.MergeFrom(tally); });
   }
 
-  std::uint64_t Count() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return data_.count;
-  }
-  double Sum() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return data_.sum;
-  }
+  std::uint64_t Count() const { return Snapshot().count; }
+  double Sum() const { return Snapshot().sum; }
   /// Exact largest observed value (-inf when empty).
-  double Max() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return data_.max;
-  }
+  double Max() const { return Snapshot().max; }
   /// See HistogramData::Percentile.
-  double Percentile(double q) const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return data_.Percentile(q);
-  }
+  double Percentile(double q) const { return Snapshot().Percentile(q); }
 
-  HistogramData Snapshot() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return data_;
+  /// Every cell merged, as of one instant.
+  HistogramData Snapshot() const {
+    HistogramData merged;
+    cells_.ForEach([&](const HistogramData& d) { merged.MergeFrom(d); });
+    return merged;
   }
 
  private:
-  mutable Mutex mu_;
-  HistogramData data_ GUARDED_BY(mu_);
+  ThreadCells<HistogramData> cells_;
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };

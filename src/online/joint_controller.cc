@@ -83,9 +83,8 @@ JointReconfigurationController::JointReconfigurationController(
 }
 
 void JointReconfigurationController::OnOperation(const DbOpEvent& ev) {
-  monitor_.Observe(ev);
+  const std::uint64_t ops = monitor_.Observe(ev);
   if (dormant_.load(std::memory_order_relaxed)) return;
-  const std::uint64_t ops = monitor_.ops_observed();
   if (ops < options_.warmup_ops) return;
   // Lock-free fast path: while the op count is below the published next
   // check, no thread even attempts the lock. The hint lags a concurrent

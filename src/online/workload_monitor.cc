@@ -1,10 +1,27 @@
 #include "online/workload_monitor.h"
 
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 
 namespace pathix {
+
+namespace {
+
+/// \p map's value for \p key, default-constructed on first use (the
+/// heterogeneous operator[] std::map lacks).
+template <typename Map>
+typename Map::mapped_type& At(Map& map, std::string_view key) {
+  auto it = map.find(key);
+  if (it == map.end()) {
+    it = map.emplace(std::string(key), typename Map::mapped_type{}).first;
+  }
+  return it->second;
+}
+
+}  // namespace
 
 WorkloadMonitor::WorkloadMonitor(double half_life_ops)
     : decay_(half_life_ops > 0 ? std::exp2(-1.0 / half_life_ops) : 1.0) {}
@@ -19,11 +36,11 @@ double WorkloadMonitor::Folded(const Entry& e) const {
   return e.count * std::pow(decay_, static_cast<double>(ops_ - e.as_of));
 }
 
-void WorkloadMonitor::Observe(const DbOpEvent& ev) {
+std::uint64_t WorkloadMonitor::Observe(const DbOpEvent& ev) {
   MutexLock lock(&mu_);
   ++ops_;
   if (ev.kind == DbOpKind::kQuery && ev.naive) {
-    Entry* pages = &naive_pages_[PathId(ev.path)];
+    Entry* pages = &At(naive_pages_, ev.path);
     FoldTo(pages, ops_);
     // Cold-model touches (hits included): the selection signal must price
     // the workload identically at every buffer capacity, or a warm pool
@@ -33,7 +50,7 @@ void WorkloadMonitor::Observe(const DbOpEvent& ev) {
   Entry* entry = nullptr;
   switch (ev.kind) {
     case DbOpKind::kQuery:
-      entry = &queries_[PathId(ev.path)][ev.cls];
+      entry = &At(queries_, ev.path)[ev.cls];
       break;
     case DbOpKind::kInsert:
       entry = &inserts_[ev.cls];
@@ -44,6 +61,7 @@ void WorkloadMonitor::Observe(const DbOpEvent& ev) {
   }
   FoldTo(entry, ops_);
   entry->count += 1;
+  return ops_;
 }
 
 double WorkloadMonitor::DecayedTotal() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -47,9 +48,11 @@ class WorkloadMonitor {
   /// \p half_life_ops <= 0 disables decay (plain counting).
   explicit WorkloadMonitor(double half_life_ops = 512);
 
-  /// Records one operation. Queries are keyed by \p ev.path (empty path =
-  /// the anonymous single-path stream); updates are keyed by class only.
-  void Observe(const DbOpEvent& ev) EXCLUDES(mu_);
+  /// Records one operation and returns the index it was assigned (1 for
+  /// the first observation): the caller's view of ops_observed() without a
+  /// second lock. Queries are keyed by \p ev.path (empty path = the
+  /// anonymous single-path stream); updates are keyed by class only.
+  std::uint64_t Observe(const DbOpEvent& ev) EXCLUDES(mu_);
 
   /// The all-paths estimate, normalized so all frequencies sum to 1 (every
   /// query, whatever path it names, plus every update). Empty (all-zero)
@@ -109,14 +112,16 @@ class WorkloadMonitor {
   mutable Mutex mu_;
   double decay_ = 1;  ///< per-operation decay factor; constant after ctor
   std::uint64_t ops_ GUARDED_BY(mu_) = 0;
-  /// Query counts per (path, class); updates per class.
-  std::map<PathId, std::unordered_map<ClassId, Entry>> queries_
+  /// Query counts per (path, class); updates per class. The path maps are
+  /// transparent (std::less<>), so an event's string_view path is looked
+  /// up without building a PathId.
+  std::map<PathId, std::unordered_map<ClassId, Entry>, std::less<>> queries_
       GUARDED_BY(mu_);
   std::unordered_map<ClassId, Entry> inserts_ GUARDED_BY(mu_);
   std::unordered_map<ClassId, Entry> deletes_ GUARDED_BY(mu_);
   /// Decayed measured pages of naive-scan queries, per path (the events'
   /// pages deltas, weighted with the same decay as the counts).
-  std::map<PathId, Entry> naive_pages_ GUARDED_BY(mu_);
+  std::map<PathId, Entry, std::less<>> naive_pages_ GUARDED_BY(mu_);
 };
 
 }  // namespace pathix

@@ -34,8 +34,33 @@ void Pager::EnableBuffer(std::size_t capacity_pages) {
 }
 
 void Pager::BookUnframed(AccessStats d) {
-  MutexLock lock(&mu_);
-  stats_ += d;
+  tallies_.Local([&](Tally& t) { t.stats += d; });
+}
+
+AccessStats Pager::stats() const {
+  AccessStats sum;
+  tallies_.ForEach([&](const Tally& t) { sum += t.stats; });
+  return sum;
+}
+
+void Pager::ResetStats() {
+  tallies_.ForEach([](Tally& t) { t.stats = AccessStats{}; });
+}
+
+AccessStats Pager::tally(PageOpKind kind) const {
+  AccessStats sum;
+  tallies_.ForEach([&](const Tally& t) {
+    sum += t.kinds[static_cast<std::size_t>(kind)];
+  });
+  return sum;
+}
+
+std::map<std::string, AccessStats> Pager::label_tallies() const {
+  std::map<std::string, AccessStats> sum;
+  tallies_.ForEach([&](const Tally& t) {
+    for (const auto& [label, stats] : t.labels) sum[label] += stats;
+  });
+  return sum;
 }
 
 PageGuard Pager::BufferedTouch(PageId page, PageIo io, bool pin,
@@ -72,23 +97,30 @@ void Pager::UnpinPage(PageId page) {
 }
 
 void Pager::ResetTallies() {
-  MutexLock lock(&mu_);
-  kind_tallies_ = {};
-  label_tallies_.clear();
+  tallies_.ForEach([](Tally& t) {
+    t.kinds = {};
+    t.labels.clear();
+  });
 }
 
-void Pager::CloseFrame(PageOpKind kind, const std::string& label,
+void Pager::CloseFrame(PageOpKind kind, std::string_view label,
                        const AccessFrame& frame) {
-  MutexLock lock(&mu_);
-  if (!frame.exclude) stats_ += frame.deferred;
-  kind_tallies_[static_cast<std::size_t>(kind)] += frame.local;
-  if (!label.empty()) label_tallies_[label] += frame.local;
+  tallies_.Local([&](Tally& t) {
+    if (!frame.exclude) t.stats += frame.deferred;
+    t.kinds[static_cast<std::size_t>(kind)] += frame.local;
+    if (label.empty()) return;
+    auto it = t.labels.find(label);
+    if (it == t.labels.end()) {
+      it = t.labels.emplace(std::string(label), AccessStats{}).first;
+    }
+    it->second += frame.local;
+  });
 }
 
 void Pager::ExportMetrics(obs::MetricsRegistry* registry) const {
-  // Copy everything out first (each accessor takes mu_ or a pool latch
-  // briefly); the registry and metric mutexes are only touched after,
-  // keeping both sides leaves of the lock hierarchy.
+  // Copy everything out first (each accessor takes the tally cells or the
+  // pool latches briefly); the registry and metric mutexes are only
+  // touched after, keeping both sides leaves of the lock hierarchy.
   const AccessStats stats = this->stats();
   std::array<AccessStats, kPageOpKindCount> kinds;
   for (std::size_t k = 0; k < kPageOpKindCount; ++k) {
@@ -130,8 +162,8 @@ void Pager::ExportMetrics(obs::MetricsRegistry* registry) const {
 }
 
 ScopedAccessProbe::ScopedAccessProbe(Pager* pager, PageOpKind kind,
-                                     std::string label, bool exclude)
-    : pager_(pager), kind_(kind), label_(std::move(label)) {
+                                     std::string_view label, bool exclude)
+    : pager_(pager), kind_(kind), label_(label) {
   frame_.pager = pager;
   frame_.exclude = exclude;
   frame_.prev = internal::tls_frame_top;

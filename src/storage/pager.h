@@ -3,11 +3,13 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/mutex.h"
+#include "common/thread_slot.h"
 #include "common/types.h"
 #include "storage/buffer_pool.h"
 
@@ -39,19 +41,22 @@
 /// in the pool for the guard's lifetime. Anonymous bulk reads (record
 /// overflow chains) and bulk writes bypass the pool.
 ///
-/// Thread safety: the global counters live behind mu_, so concurrent
-/// Note*/stats()/Allocate() calls are safe (the pager is the leaf of the
-/// lock hierarchy in common/mutex.h). Scoped frames are *thread-local*: a
-/// ScopedAccessProbe pushes a frame onto its own thread's frame stack, and
-/// Note* calls from that thread accumulate into the frame without touching
-/// mu_. The frame folds its tally into the global counters once, when it
-/// closes, so N serving threads doing framed page traffic contend on one
-/// mutex acquisition per *operation* instead of one per *page touch*.
-/// Buffered touches preserve that design: they take only the pool's
-/// *sharded* frame-table latches (leaves, like mu_; the two are never held
-/// together) and defer the stats fold to frame close exactly like the
-/// unbuffered fast path — mu_ stays one-acquisition-per-operation however
-/// large the pool. Counting frames still must not nest per thread (see
+/// Thread safety: the counters — the main stats, the per-kind and the
+/// per-label tallies — live in per-thread cells (common/thread_slot.h),
+/// each behind its own leaf mutex, so concurrent Note*/stats()/Allocate()
+/// calls are safe and a writer locks only its own thread's cell. Scoped
+/// frames are *thread-local*: a ScopedAccessProbe pushes a frame onto its
+/// own thread's frame stack, and Note* calls from that thread accumulate
+/// into the frame without taking any lock. The frame folds its tally into
+/// its thread's cell once, when it closes, so a framed operation takes one
+/// uncontended cell lock however many pages it touches, and N serving
+/// threads write no shared cache line for their accounting. Buffered
+/// touches preserve that design: they take only the pool's *sharded*
+/// frame-table latches (leaves, like the cells; the two are never held
+/// together) and defer the fold to frame close exactly like the
+/// unbuffered fast path. The readers (stats(), tally(), label_tallies())
+/// lock every cell in index order and sum them, so each returns one
+/// consistent instant. Counting frames still must not nest per thread (see
 /// ScopedAccessProbe); frames of different threads are independent.
 
 namespace pathix {
@@ -201,72 +206,60 @@ class Pager {
   /// preserved: the same capacity is a no-op, growing keeps every resident
   /// frame, shrinking evicts from the cold end. Dirty frames that leave
   /// the pool (shrink, or disable's flush) are charged as page writes.
-  void EnableBuffer(std::size_t capacity_pages) EXCLUDES(mu_);
+  void EnableBuffer(std::size_t capacity_pages);
 
   // Note*/Pin* route each page touch through Touch (below): to the calling
   // thread's innermost open frame when one exists — excluded scopes absorb
   // the touch (measured, not charged, buffer bypassed), counting scopes
-  // accumulate it lock-free and defer the global-stats fold to frame
-  // close. With the buffer pool on, a single-page touch goes through the
-  // pool's sharded latches first and the resulting charge (hit, read, or
-  // write-backs) is deferred the same way — mu_ is never taken per touch
+  // accumulate it lock-free and defer the fold into the thread's cell to
+  // frame close. With the buffer pool on, a single-page touch goes through
+  // the pool's sharded latches first and the resulting charge (hit, read,
+  // or write-backs) is deferred the same way — no cell is locked per touch
   // on a framed path. Unframed touches (the concurrent smoke tests, ad-hoc
-  // tooling) take the locked path directly, so the global stats stay
+  // tooling) lock their thread's cell directly, so the global stats stay
   // exact without any frame protocol.
 
-  void NoteRead(PageId page) EXCLUDES(mu_) {
+  void NoteRead(PageId page) {
     Touch(page, PageIo::kRead, /*pin=*/false, 1);
   }
-  void NoteWrite(PageId page) EXCLUDES(mu_) {
+  void NoteWrite(PageId page) {
     Touch(page, PageIo::kWrite, /*pin=*/false, 1);
   }
 
   /// As NoteRead, additionally pinning the page's frame for the returned
   /// guard's lifetime (empty guard when nothing was admitted — pool off,
   /// excluded scope, or every frame pinned).
-  PageGuard PinRead(PageId page) EXCLUDES(mu_) {
+  PageGuard PinRead(PageId page) {
     return Touch(page, PageIo::kRead, /*pin=*/true, 1);
   }
   /// As NoteWrite, with the PinRead pin contract.
-  PageGuard PinWrite(PageId page) EXCLUDES(mu_) {
+  PageGuard PinWrite(PageId page) {
     return Touch(page, PageIo::kWrite, /*pin=*/true, 1);
   }
 
   /// Convenience for counting n sequential page reads (scans / chains).
   /// Bulk traffic always bypasses the buffer pool.
-  void NoteReads(std::uint64_t n) EXCLUDES(mu_) {
+  void NoteReads(std::uint64_t n) {
     Touch(kInvalidPage, PageIo::kRead, /*pin=*/false, n);
   }
   /// Convenience for counting n sequential page writes (bulk write-out).
-  void NoteWrites(std::uint64_t n) EXCLUDES(mu_) {
+  void NoteWrites(std::uint64_t n) {
     Touch(kInvalidPage, PageIo::kWrite, /*pin=*/false, n);
   }
 
   /// Snapshot of the global counters (consistent across the three fields).
-  AccessStats stats() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return stats_;
-  }
-  void ResetStats() EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    stats_ = AccessStats{};
-  }
+  AccessStats stats() const;
+  void ResetStats();
 
   // ------------------------------------------------------ scoped tallies
 
   /// Accesses folded in by ScopedAccessProbe frames of \p kind (excluded
   /// kBuild frames included — they are measured, just not charged).
-  AccessStats tally(PageOpKind kind) const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return kind_tallies_[static_cast<std::size_t>(kind)];
-  }
+  AccessStats tally(PageOpKind kind) const;
   /// Accesses per probe label (the queried path id), for labeled frames.
   /// Deterministically ordered.
-  std::map<std::string, AccessStats> label_tallies() const EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return label_tallies_;
-  }
-  void ResetTallies() EXCLUDES(mu_);
+  std::map<std::string, AccessStats> label_tallies() const;
+  void ResetTallies();
 
   /// Pages allocated so far (storage footprint proxy).
   std::uint64_t allocated_pages() const { return next_page_.load(); }
@@ -282,9 +275,9 @@ class Pager {
   /// pathix_pager_buffer_{evictions,writebacks}_total and the
   /// pathix_pager_allocated_pages gauge. Counters are mirrored (MirrorTo)
   /// from the pager's own monotone tallies, so repeated exports converge
-  /// to the same values. Never called with mu_ held: the pager and the
-  /// metric mutexes are both leaves and must not nest.
-  void ExportMetrics(obs::MetricsRegistry* registry) const EXCLUDES(mu_);
+  /// to the same values. The pager's cells and the metric mutexes are both
+  /// leaves: the tallies are copied out before any metric is touched.
+  void ExportMetrics(obs::MetricsRegistry* registry) const;
 
  private:
   friend class ScopedAccessProbe;
@@ -300,8 +293,7 @@ class Pager {
   /// directly. Returns a pinned guard only for an admitted \p pin touch.
   /// Small enough to inline into every entry point: the pool and the
   /// unframed lock live out of line.
-  PageGuard Touch(PageId page, PageIo io, bool pin, std::uint64_t n)
-      EXCLUDES(mu_) {
+  PageGuard Touch(PageId page, PageIo io, bool pin, std::uint64_t n) {
     const bool pooled =
         page != kInvalidPage && buffered_.load(std::memory_order_relaxed);
     AccessFrame* f = internal::FrameFor(this);
@@ -318,7 +310,7 @@ class Pager {
   /// given its innermost open frame \p f of this pager (nullptr when
   /// none): the enclosing excluded frame (measured, not charged), the open
   /// counting frame (deferred to its close), or the global stats.
-  void Book(AccessFrame* f, AccessStats d) EXCLUDES(mu_) {
+  void Book(AccessFrame* f, AccessStats d) {
     if (f == nullptr) {
       BookUnframed(d);
       return;
@@ -331,38 +323,41 @@ class Pager {
     f->deferred += d;
   }
 
-  /// Book's unframed case: the global stats, under mu_.
-  void BookUnframed(AccessStats d) EXCLUDES(mu_);
+  /// Book's unframed case: the global stats, in the calling thread's
+  /// cell.
+  void BookUnframed(AccessStats d);
 
   /// Buffered touch: routes \p page through the pool (its sharded latches
-  /// only — never mu_ on a framed path) and books the outcome (hit / read
-  /// / write-backs) on frame \p f, or on the global stats when \p f is
-  /// null. The guard is pinned when \p pin and the page was admitted.
-  PageGuard BufferedTouch(PageId page, PageIo io, bool pin, AccessFrame* f)
-      EXCLUDES(mu_);
+  /// only — no cell lock on a framed path) and books the outcome (hit /
+  /// read / write-backs) on frame \p f, or on the global stats when \p f
+  /// is null. The guard is pinned when \p pin and the page was admitted.
+  PageGuard BufferedTouch(PageId page, PageIo io, bool pin, AccessFrame* f);
 
   /// PageGuard's unpin hook; charges any write-back the unpin triggered.
-  void UnpinPage(PageId page) EXCLUDES(mu_);
+  void UnpinPage(PageId page);
 
-  /// Folds a closing frame into the globals under one lock: deferred
-  /// counts into the main stats, the frame's full tally into the
-  /// (kind, label) tallies.
-  void CloseFrame(PageOpKind kind, const std::string& label,
-                  const AccessFrame& frame) EXCLUDES(mu_);
+  /// Folds a closing frame into the calling thread's cell under that
+  /// cell's lock: deferred counts into the main stats, the frame's full
+  /// tally into the (kind, label) tallies.
+  void CloseFrame(PageOpKind kind, std::string_view label,
+                  const AccessFrame& frame);
+
+  /// One thread slot's share of every counter; the readers sum the cells.
+  struct Tally {
+    AccessStats stats;
+    std::array<AccessStats, kPageOpKindCount> kinds{};
+    std::map<std::string, AccessStats, std::less<>> labels;
+  };
 
   std::size_t page_size_;
-  mutable Mutex mu_;
   std::atomic<PageId> next_page_{0};
-  AccessStats stats_ GUARDED_BY(mu_);
-
-  std::array<AccessStats, kPageOpKindCount> kind_tallies_ GUARDED_BY(mu_){};
-  std::map<std::string, AccessStats> label_tallies_ GUARDED_BY(mu_);
+  ThreadCells<Tally> tallies_;
 
   /// Mirrors pool capacity > 0 so Note*/Pin* pick the lock-free cold path
   /// without taking any lock first.
   std::atomic<bool> buffered_{false};
-  /// The pool synchronizes itself (sharded latches, leaves like mu_; the
-  /// two are never held together).
+  /// The pool synchronizes itself (sharded latches, leaves like the
+  /// tally cells; the two are never held together).
   BufferPool pool_;
 };
 
@@ -407,11 +402,12 @@ class AccessProbe {
 /// a counting frame inside an excluded one observes no traffic, since its
 /// thread's touches all land on the enclosing excluded frame by design.
 /// Destruction must happen on the constructing thread (RAII makes this
-/// automatic).
+/// automatic). The probe views \p label: the string must outlive it.
 class ScopedAccessProbe {
  public:
   explicit ScopedAccessProbe(Pager* pager, PageOpKind kind,
-                             std::string label = {}, bool exclude = false);
+                             std::string_view label = {},
+                             bool exclude = false);
   ~ScopedAccessProbe();
 
   ScopedAccessProbe(const ScopedAccessProbe&) = delete;
@@ -424,7 +420,7 @@ class ScopedAccessProbe {
  private:
   Pager* pager_;
   PageOpKind kind_;
-  std::string label_;
+  std::string_view label_;
   AccessFrame frame_;
 };
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -41,21 +42,47 @@ TEST(ConcurrentSmokeTest, PagerAccountingFromManyThreads) {
   constexpr std::uint64_t kOpsPerThread = 5000;
   Pager pager(4096);
   RunInParallel(kThreads, [&pager](int t) {
+    // Two threads share each label, so one label entry gathers folds from
+    // two threads' cells.
+    const std::string label = "p" + std::to_string(t % 2);
     for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
       const PageId page = pager.Allocate();
-      pager.NoteWrite(page);
-      pager.NoteRead(page);
-      if (i % 16 == 0) pager.NoteReads(2);
-      (void)pager.stats();  // concurrent snapshot reads
-      (void)t;
+      {
+        ScopedAccessProbe frame(&pager, PageOpKind::kQuery, label);
+        pager.NoteWrite(page);
+        pager.NoteRead(page);
+        if (i % 16 == 0) pager.NoteReads(2);
+      }
+      if (i % 64 == 0) {
+        // Concurrent readers merge every cell while the writers fold.
+        (void)pager.stats();
+        (void)pager.tally(PageOpKind::kQuery);
+        (void)pager.label_tallies();
+      }
     }
   });
-  const AccessStats stats = pager.stats();
+  constexpr std::uint64_t kReadsPerThread =
+      kOpsPerThread + 2 * ((kOpsPerThread + 15) / 16);
+  const AccessStats all{kThreads * kReadsPerThread, kThreads * kOpsPerThread,
+                        0};
   EXPECT_EQ(pager.allocated_pages(), kThreads * kOpsPerThread);
-  EXPECT_EQ(stats.writes, kThreads * kOpsPerThread);
-  EXPECT_EQ(stats.reads,
-            kThreads * (kOpsPerThread + 2 * ((kOpsPerThread + 15) / 16)));
-  EXPECT_EQ(stats.buffer_hits, 0u);
+  EXPECT_EQ(pager.stats(), all);
+  EXPECT_EQ(pager.tally(PageOpKind::kQuery), all);
+
+  const std::map<std::string, AccessStats> labels = pager.label_tallies();
+  ASSERT_EQ(labels.size(), 2u);
+  const AccessStats per_label{kThreads / 2 * kReadsPerThread,
+                              kThreads / 2 * kOpsPerThread, 0};
+  EXPECT_EQ(labels.at("p0"), per_label);
+  EXPECT_EQ(labels.at("p1"), per_label);
+
+  // Every touch ran inside a counting frame: the kind tallies decompose
+  // stats() exactly.
+  AccessStats kinds;
+  for (std::size_t k = 0; k < kPageOpKindCount; ++k) {
+    kinds += pager.tally(static_cast<PageOpKind>(k));
+  }
+  EXPECT_EQ(kinds, pager.stats());
 }
 
 TEST(ConcurrentSmokeTest, PagerBufferPoolUnderContention) {
@@ -215,12 +242,14 @@ TEST(ConcurrentSmokeTest, RegistryBuildsSharedKeyOnceWhileHeld) {
 TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
   constexpr std::uint64_t kOpsPerThread = 2000;
   WorkloadMonitor monitor(/*half_life_ops=*/256);
-  RunInParallel(kThreads, [&monitor](int t) {
+  std::vector<std::vector<std::uint64_t>> assigned(kThreads);
+  RunInParallel(kThreads, [&monitor, &assigned](int t) {
     for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
       const DbOpKind kind = i % 3 == 0   ? DbOpKind::kQuery
                             : i % 3 == 1 ? DbOpKind::kInsert
                                          : DbOpKind::kDelete;
-      monitor.Observe({kind, static_cast<ClassId>(t), {}, false, {}});
+      assigned[static_cast<std::size_t>(t)].push_back(
+          monitor.Observe({kind, static_cast<ClassId>(t), {}, false, {}}));
       if (i % 64 == 0) {
         (void)monitor.EstimatedLoad();
         (void)monitor.MeasuredNaiveQueryPagesPerOp();
@@ -229,6 +258,14 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
   });
   EXPECT_EQ(monitor.ops_observed(), kThreads * kOpsPerThread);
   EXPECT_GT(monitor.DecayedTotal(), 0.0);
+  // Every observation got its own op index: together exactly 1..N.
+  std::vector<std::uint64_t> all;
+  for (const std::vector<std::uint64_t>& mine : assigned) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), kThreads * kOpsPerThread);
+  for (std::size_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i + 1);
 }
 
 TEST(ConcurrentSmokeTest, MetricsRegistryFromManyThreads) {

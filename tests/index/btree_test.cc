@@ -4,6 +4,8 @@
 
 #include <map>
 #include <random>
+#include <span>
+#include <vector>
 
 namespace pathix {
 namespace {
@@ -138,6 +140,30 @@ TEST_F(BTreeTest, PartialReadStopsEarly) {
             static_cast<std::uint64_t>(tree_.height()) + 1);
 }
 
+TEST_F(BTreeTest, BatchedChainReadsKeepKeyKindsApart) {
+  // Key::FromInt(5) and Key::FromString("5") both print as "5". One batch
+  // must still fetch each record's own chain, not count one chain twice.
+  const Key int_key = Key::FromInt(5);
+  const Key str_key = Key::FromString("5");
+  for (const Key& key : {int_key, str_key}) {
+    tree_.Upsert(
+        key,
+        [&] {
+          PostingRecord rec = Rec(0, 30);  // 2-page chain on 256-byte pages
+          rec.key_value = key;
+          return rec;
+        },
+        [](PostingRecord*) {});
+  }
+  ASSERT_EQ(tree_.height(), 1);
+  pager_.ResetStats();
+  BatchCharge batch;
+  ASSERT_NE(tree_.Lookup(int_key, &batch), nullptr);
+  ASSERT_NE(tree_.Lookup(str_key, &batch), nullptr);
+  // The shared leaf once, then both records' two chain pages.
+  EXPECT_EQ(pager_.stats().reads, 5u);
+}
+
 TEST_F(BTreeTest, StubRecordsDoNotBlockSplits) {
   // Interleave big and small records; structure must stay valid.
   for (int i = 0; i < 60; ++i) {
@@ -188,6 +214,32 @@ TEST_F(BTreeTest, AuxTreeRoundTrip) {
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->primary_keys.size(), 1u);
   EXPECT_EQ(rec->parents, (std::vector<Oid>{7}));
+}
+
+TEST(PostingRecordTest, KeepsClassSlicesInOidOrder) {
+  PostingRecord rec;
+  rec.key_value = Key::FromInt(1);
+  rec.AddOrBump(2, 30, 1);
+  rec.AddOrBump(1, 50, 1);
+  rec.AddOrBump(2, 10, 1);
+  rec.AddOrBump(1, 20, 2);
+  rec.AddOrBump(2, 30, 3);  // present: bumps numchild
+  EXPECT_TRUE(rec.Ordered());
+  EXPECT_EQ(rec.postings, (std::vector<Posting>{
+                              {1, 20, 2}, {1, 50, 1}, {2, 10, 1}, {2, 30, 4}}));
+
+  const std::span<const Posting> slice = rec.Slice(2);
+  ASSERT_EQ(slice.size(), 2u);
+  EXPECT_EQ(slice[0].oid, 10u);
+  EXPECT_EQ(slice[1].oid, 30u);
+  EXPECT_TRUE(rec.Slice(3).empty());
+
+  ASSERT_NE(rec.Find(1, 50), rec.postings.end());
+  EXPECT_EQ(rec.Find(1, 50)->numchild, 1);
+  EXPECT_EQ(rec.Find(2, 50), rec.postings.end());  // oid of another class
+
+  rec.postings.push_back(Posting{1, 5, 1});
+  EXPECT_FALSE(rec.Ordered());
 }
 
 TEST(BTreeKeyTest, OrderingAcrossKinds) {

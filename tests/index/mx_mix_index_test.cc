@@ -1,13 +1,17 @@
 // Dedicated unit tests of the physical MX and MIX organizations: per-class
 // vs per-level trees, probe filtering semantics, previous-level key removal
-// on deletion, and boundary deletions.
+// on deletion, and boundary deletions. Plus the posting-order invariant
+// every posting-list index (MX, MIX and NIX) validates.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "datagen/paper_schema.h"
 #include "exec/database.h"
 #include "index/mix_index.h"
 #include "index/mx_index.h"
+#include "index/nix_index.h"
 
 namespace pathix {
 namespace {
@@ -22,6 +26,29 @@ class MxMixFixture : public ::testing::Test {
     b1_ = db_.Insert(setup_.bus, {{"man", {Value::Ref(c1_)}}});
     p1_ = db_.Insert(setup_.person,
                      {{"owns", {Value::Ref(v1_), Value::Ref(b1_)}}});
+  }
+
+  /// Appends a copy of \p key's first posting to its record in \p tree:
+  /// a duplicate, so the postings are no longer strictly increasing.
+  static void AppendOutOfOrder(PostingTree& tree, const Key& key) {
+    tree.Upsert(
+        key,
+        [&] {
+          PostingRecord rec;
+          rec.key_value = key;
+          return rec;
+        },
+        [](PostingRecord* rec) {
+          ASSERT_FALSE(rec->postings.empty());
+          rec->postings.push_back(rec->postings.front());
+        });
+  }
+
+  static void ExpectOrderViolation(const Status& status) {
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("strictly increasing"),
+              std::string::npos)
+        << status.ToString();
   }
 
   SubpathIndexContext Ctx(int start, int end) {
@@ -147,6 +174,30 @@ TEST_F(MxMixFixture, MultiValuedAttributesAddOnePostingPerValue) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST_F(MxMixFixture, MXValidateRejectsUnorderedPostings) {
+  MXIndex mx(&db_.pager(), Ctx(1, 4));
+  mx.Build(db_.store());
+  CheckOk(mx.Validate());
+  AppendOutOfOrder(mx.tree_for(2, setup_.vehicle)->tree(), Key::FromOid(c1_));
+  ExpectOrderViolation(mx.Validate());
+}
+
+TEST_F(MxMixFixture, MIXValidateRejectsUnorderedPostings) {
+  MIXIndex mix(&db_.pager(), Ctx(1, 4));
+  mix.Build(db_.store());
+  CheckOk(mix.Validate());
+  AppendOutOfOrder(mix.tree_for(2)->tree(), Key::FromOid(c1_));
+  ExpectOrderViolation(mix.Validate());
+}
+
+TEST_F(MxMixFixture, NIXValidateRejectsUnorderedPostings) {
+  NIXIndex nix(&db_.pager(), Ctx(1, 4));
+  nix.Build(db_.store());
+  CheckOk(nix.Validate());
+  AppendOutOfOrder(nix.primary(), Key::FromString("alpha"));
+  ExpectOrderViolation(nix.Validate());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "obs/export.h"
 #include "obs/json_writer.h"
@@ -24,6 +25,39 @@ TEST(CounterTest, IncrementIgnoresNonPositiveDeltas) {
   EXPECT_DOUBLE_EQ(c.Value(), 3.5);
   c.MirrorTo(42);
   EXPECT_DOUBLE_EQ(c.Value(), 42);
+}
+
+TEST(CounterTest, MirrorToOverwritesEveryThreadsShare) {
+  // Increments land in the incrementing thread's cell; a mirror replaces
+  // the sum of all of them.
+  Counter c;
+  std::thread other([&c] { c.Increment(5); });
+  other.join();
+  c.Increment(2);
+  EXPECT_DOUBLE_EQ(c.Value(), 7);
+  c.MirrorTo(3);
+  EXPECT_DOUBLE_EQ(c.Value(), 3);
+  std::thread again([&c] { c.Increment(1); });
+  again.join();
+  EXPECT_DOUBLE_EQ(c.Value(), 4);
+}
+
+TEST(HistogramTest, ReadsMergeEveryThreadsObservations) {
+  Histogram h;
+  std::thread other([&h] {
+    h.Observe(100);
+    h.Observe(3);
+  });
+  other.join();
+  h.Observe(0.5);
+  HistogramData tally;
+  tally.Observe(7);
+  h.MergeFrom(tally);
+  EXPECT_EQ(h.Count(), 4u);
+  EXPECT_DOUBLE_EQ(h.Sum(), 110.5);
+  EXPECT_DOUBLE_EQ(h.Max(), 100);
+  EXPECT_DOUBLE_EQ(h.Snapshot().min, 0.5);
+  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 100);
 }
 
 TEST(GaugeTest, SetAndAdd) {
