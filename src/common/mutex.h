@@ -37,11 +37,14 @@
 /// one leaf mutex each: a frame close or unframed touch locks only its own
 /// thread's cell, and the readers lock every cell in index order and call
 /// nothing while holding them. The buffer pool's sharded frame-table
-/// latches (storage/buffer_pool.h) are leaves beside the cells: a buffered
-/// page touch takes one shard latch, releases it, and only then (if
-/// unframed) takes its cell for the stats — the two are never held
-/// together. Pool-wide operations (Resize/FlushAll/GetStats) take every
-/// shard latch in index order and call nothing while holding them.
+/// latches (storage/buffer_pool.h) are leaves beside the cells, taken only
+/// on misses (and the eviction they run), on an unpin that a resize
+/// disturbed, and by Resize, FlushAll and GetStats; hits and ordinary
+/// unpins are a CAS on the frame's word and take no latch. A latched touch
+/// releases its shard latch before (if unframed) it takes its cell for the
+/// stats — the two are never held together. Pool-wide operations
+/// (Resize/FlushAll/GetStats) take every shard latch in index order and
+/// call nothing while holding them.
 ///
 /// The observability layer (obs/metrics.h, obs/trace.h) sits below the
 /// whole hierarchy: every metric cell mutex (counters and histograms keep

@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 #include "common/mutex.h"
 
@@ -17,7 +18,8 @@
 /// locks every cell in index order and merges them. Threads that share a
 /// slot (more than kThreadSlots live threads) share a cell and contend on
 /// its mutex; the totals stay exact. The pager's tallies and the metric
-/// counters and histograms are built on it.
+/// counters and histograms are built on it. ThreadCounters<N> is the
+/// lock-free sibling for plain event counts (the buffer pool's hits).
 
 namespace pathix {
 
@@ -71,6 +73,36 @@ class ThreadCells {
   };
 
   mutable std::array<Cell, kThreadSlots> cells_;
+};
+
+/// \brief N monotone counters per thread slot, bumped without a lock.
+///
+/// Add() is one relaxed fetch_add on the calling thread's own cache line;
+/// threads that share a slot share the line and the counts stay exact.
+/// Sum() adds every slot's count. It is not one instant: taken while
+/// others add, it lands between the totals before and after the read.
+template <std::size_t N>
+class ThreadCounters {
+ public:
+  void Add(std::size_t counter) {
+    cells_[ThreadSlot()].counts[counter].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+
+  std::uint64_t Sum(std::size_t counter) const {
+    std::uint64_t sum = 0;
+    for (const Cell& cell : cells_) {
+      sum += cell.counts[counter].load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+
+ private:
+  struct alignas(64) Cell {
+    std::array<std::atomic<std::uint64_t>, N> counts{};
+  };
+
+  std::array<Cell, kThreadSlots> cells_{};
 };
 
 }  // namespace pathix

@@ -410,8 +410,7 @@ class BTree {
   void ChargeRead(PageId page, BatchCharge* batch, PinSet* pins = nullptr) {
     if (batch != nullptr && !batch->reads.insert(page).second) return;
     if (pins != nullptr) {
-      PageGuard guard = pager_->PinRead(page);
-      if (guard.pinned()) pins->push_back(std::move(guard));
+      pins->Add(pager_->PinRead(page));
       return;
     }
     pager_->NoteRead(page);

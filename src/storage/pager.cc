@@ -66,10 +66,9 @@ std::map<std::string, AccessStats> Pager::label_tallies() const {
 PageGuard Pager::BufferedTouch(PageId page, PageIo io, bool pin,
                                AccessFrame* f) {
   AccessStats d;
-  bool admitted = false;
+  BufferTouchResult r;
   if (io == PageIo::kRead) {
-    const BufferTouchResult r = pool_.TouchRead(page, pin);
-    admitted = r.admitted;
+    r = pool_.TouchRead(page, pin);
     if (r.hit) {
       d.buffer_hits = 1;
     } else {
@@ -77,19 +76,18 @@ PageGuard Pager::BufferedTouch(PageId page, PageIo io, bool pin,
     }
     d.writes = r.writebacks;
   } else {
-    const BufferTouchResult r = pool_.TouchWrite(page, pin);
-    admitted = r.admitted;
+    r = pool_.TouchWrite(page, pin);
     // Write-back: an admitted write only dirties the frame — its charge
     // lands when the frame is written back. A bypassed write (zero-capacity
     // shard, or every frame pinned) is charged through immediately.
     d.writes = (r.admitted ? 0 : 1) + r.writebacks;
   }
   if (d.logical_total() != 0) Book(f, d);
-  return admitted && pin ? PageGuard(this, page) : PageGuard();
+  return r.frame != nullptr ? PageGuard(this, page, r.frame) : PageGuard();
 }
 
-void Pager::UnpinPage(PageId page) {
-  const std::uint64_t writebacks = pool_.Unpin(page);
+void Pager::UnpinPage(PageId page, FrameWord* frame) {
+  const std::uint64_t writebacks = pool_.Unpin(page, frame);
   if (writebacks == 0) return;
   AccessStats d;
   d.writes = writebacks;

@@ -2,12 +2,14 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <new>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 #include "common/thread_slot.h"
 #include "common/types.h"
@@ -51,13 +53,19 @@
 /// its thread's cell once, when it closes, so a framed operation takes one
 /// uncontended cell lock however many pages it touches, and N serving
 /// threads write no shared cache line for their accounting. Buffered
-/// touches preserve that design: they take only the pool's *sharded*
-/// frame-table latches (leaves, like the cells; the two are never held
-/// together) and defer the fold to frame close exactly like the
-/// unbuffered fast path. The readers (stats(), tally(), label_tallies())
-/// lock every cell in index order and sum them, so each returns one
-/// consistent instant. Counting frames still must not nest per thread (see
-/// ScopedAccessProbe); frames of different threads are independent.
+/// touches preserve that design. A hit takes no lock at all: it is a CAS
+/// on the frame's state word found through the pool's hint table, counted
+/// in the pool's per-thread hit cells, and a PageGuard releases its pin
+/// with one CAS on the word it pinned (storage/buffer_pool.h has the word
+/// layout, the hint validation and the freeze protocol Resize uses). Only
+/// misses, evictions, resizes, flushes and pool stats take the pool's
+/// *sharded* frame-table latches (leaves, like the cells; the two are
+/// never held together). Either way the charge is deferred to frame close
+/// exactly like the unbuffered fast path. The readers (stats(), tally(),
+/// label_tallies()) lock every cell in index order and sum them, so each
+/// returns one consistent instant. Counting frames still must not nest per
+/// thread (see ScopedAccessProbe); frames of different threads are
+/// independent.
 
 namespace pathix {
 
@@ -72,10 +80,14 @@ struct AccessStats {
   std::uint64_t buffer_hits = 0;  ///< reads absorbed by the buffer pool
 
   std::uint64_t total() const { return reads + writes; }
-  /// Page touches under the paper's cold-buffer cost model: what total()
-  /// would have been with no pool. The index-selection layer prices
-  /// workloads with this so its decisions don't depend on the buffer
-  /// capacity it happens to be serving through.
+  /// Charged pages plus buffer hits. Its reads are exactly the cold
+  /// model's: every read touch is one charged read or one hit, whatever
+  /// the capacity. Its writes are not: a write the pool absorbs into a
+  /// dirty frame is counted nowhere (only write-throughs and write-backs
+  /// are), so with the pool on this is below what total() would have been
+  /// with no pool wherever writes were absorbed. The index-selection layer
+  /// prices naive scans, which only read, with it, so its decisions don't
+  /// depend on the buffer capacity it happens to be serving through.
   std::uint64_t logical_total() const { return reads + writes + buffer_hits; }
 
   AccessStats& operator+=(const AccessStats& o) {
@@ -153,10 +165,16 @@ inline AccessFrame* FrameFor(const Pager* pager) {
 /// the page was not admitted (all frames pinned), or the touch landed in
 /// an excluded scope, the guard is empty (pinned() == false) and
 /// destruction is a no-op — pin/unpin has zero cost in the cold default.
+///
+/// A guard carries the frame word it pinned (buffer_pool.h), so its
+/// release is one CAS on that word. It takes a shard latch only when a
+/// resize has frozen or moved the word, or while a shrink leaves the pool
+/// holding pinned frames above capacity.
 class PageGuard {
  public:
   PageGuard() = default;
-  PageGuard(PageGuard&& o) noexcept : pager_(o.pager_), page_(o.page_) {
+  PageGuard(PageGuard&& o) noexcept
+      : pager_(o.pager_), page_(o.page_), frame_(o.frame_) {
     o.pager_ = nullptr;
   }
   PageGuard& operator=(PageGuard&& o) noexcept {
@@ -164,6 +182,7 @@ class PageGuard {
       Release();
       pager_ = o.pager_;
       page_ = o.page_;
+      frame_ = o.frame_;
       o.pager_ = nullptr;
     }
     return *this;
@@ -181,14 +200,54 @@ class PageGuard {
 
  private:
   friend class Pager;
-  PageGuard(Pager* pager, PageId page) : pager_(pager), page_(page) {}
+  PageGuard(Pager* pager, PageId page, FrameWord* frame)
+      : pager_(pager), page_(page), frame_(frame) {}
 
   Pager* pager_ = nullptr;
   PageId page_ = kInvalidPage;
+  FrameWord* frame_ = nullptr;  ///< the word the pin was taken on
 };
 
-/// The pins one operation holds (e.g. a root-to-leaf descent path).
-using PinSet = std::vector<PageGuard>;
+/// \brief The pins one operation holds (e.g. a root-to-leaf descent path).
+///
+/// Guards live inline, so adding one never allocates; they are released in
+/// the order they were added (root first for a descent) when the set dies.
+/// A set holds kCapacity pins. That bounds a pinned descent at kCapacity
+/// levels, far deeper than any tree of page-sized nodes grows; a guard
+/// added to a full set is released at once, so its page stays charged but
+/// is no longer held for the operation.
+class PinSet {
+ public:
+  static constexpr std::size_t kCapacity = 32;
+
+  PinSet() = default;
+  ~PinSet() {
+    for (std::size_t i = 0; i < size_; ++i) slots_[i].guard.~PageGuard();
+  }
+  PinSet(const PinSet&) = delete;
+  PinSet& operator=(const PinSet&) = delete;
+
+  /// Takes over \p guard's pin (an empty guard adds nothing).
+  void Add(PageGuard guard) {
+    if (!guard.pinned()) return;
+    if (size_ == kCapacity) return;  // \p guard releases on return
+    new (&slots_[size_].guard) PageGuard(std::move(guard));
+    ++size_;
+  }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  /// Storage a guard is constructed into only when added.
+  union Slot {
+    Slot() {}
+    ~Slot() {}
+    PageGuard guard;
+  };
+
+  Slot slots_[kCapacity];
+  std::size_t size_ = 0;
+};
 
 /// \brief Allocates page ids, counts accesses, owns the buffer pool.
 class Pager {
@@ -213,11 +272,12 @@ class Pager {
   // the touch (measured, not charged, buffer bypassed), counting scopes
   // accumulate it lock-free and defer the fold into the thread's cell to
   // frame close. With the buffer pool on, a single-page touch goes through
-  // the pool's sharded latches first and the resulting charge (hit, read,
-  // or write-backs) is deferred the same way — no cell is locked per touch
-  // on a framed path. Unframed touches (the concurrent smoke tests, ad-hoc
-  // tooling) lock their thread's cell directly, so the global stats stay
-  // exact without any frame protocol.
+  // the pool first (latch-free on a hit, its sharded latches otherwise)
+  // and the resulting charge (hit, read, or write-backs) is deferred the
+  // same way — no cell is locked per touch on a framed path. Unframed
+  // touches (the concurrent smoke tests, ad-hoc tooling) lock their
+  // thread's cell directly, so the global stats stay exact without any
+  // frame protocol.
 
   void NoteRead(PageId page) {
     Touch(page, PageIo::kRead, /*pin=*/false, 1);
@@ -327,14 +387,15 @@ class Pager {
   /// cell.
   void BookUnframed(AccessStats d);
 
-  /// Buffered touch: routes \p page through the pool (its sharded latches
-  /// only — no cell lock on a framed path) and books the outcome (hit /
+  /// Buffered touch: routes \p page through the pool (latch-free on a hit,
+  /// no cell lock on a framed path) and books the outcome (hit /
   /// read / write-backs) on frame \p f, or on the global stats when \p f
   /// is null. The guard is pinned when \p pin and the page was admitted.
   PageGuard BufferedTouch(PageId page, PageIo io, bool pin, AccessFrame* f);
 
-  /// PageGuard's unpin hook; charges any write-back the unpin triggered.
-  void UnpinPage(PageId page);
+  /// PageGuard's unpin hook (\p frame is the word the pin was taken on);
+  /// charges any write-back the unpin triggered.
+  void UnpinPage(PageId page, FrameWord* frame);
 
   /// Folds a closing frame into the calling thread's cell under that
   /// cell's lock: deferred counts into the main stats, the frame's full
@@ -356,14 +417,15 @@ class Pager {
   /// Mirrors pool capacity > 0 so Note*/Pin* pick the lock-free cold path
   /// without taking any lock first.
   std::atomic<bool> buffered_{false};
-  /// The pool synchronizes itself (sharded latches, leaves like the
-  /// tally cells; the two are never held together).
+  /// The pool synchronizes itself (latch-free hits and unpins; sharded
+  /// latches, leaves like the tally cells, for the rest — the two are
+  /// never held together).
   BufferPool pool_;
 };
 
 inline void PageGuard::Release() {
   if (pager_ != nullptr) {
-    pager_->UnpinPage(page_);
+    pager_->UnpinPage(page_, frame_);
     pager_ = nullptr;
   }
 }

@@ -1,7 +1,8 @@
 // The first genuinely multi-threaded code in the repo: a deliberately tiny
 // hammer over the two shared-state hot spots the annotated locking layer
 // protects — Pager accounting and PhysicalPartRegistry acquire/release —
-// plus the WorkloadMonitor's decayed counters and the ObjectStore's maps.
+// plus the buffer pool's latch-free hits under live resizes, the
+// WorkloadMonitor's decayed counters and the ObjectStore's maps.
 // Run it under -fsanitize=thread (cmake -DPATHIX_SANITIZE=thread): TSan is
 // the dynamic backstop for what Clang's -Wthread-safety proves statically.
 
@@ -161,6 +162,119 @@ TEST(ConcurrentSmokeTest, BufferPoolHammerReconcilesExactly) {
   EXPECT_GT(stats.buffer_hits, 0u);
   EXPECT_GT(pool.evictions, 0u);
   EXPECT_GT(pool.writebacks, 0u);
+}
+
+TEST(ConcurrentSmokeTest, SweepNeverEvictsAFrameAPinJustTook) {
+  // Two threads pin and release one hot page each, mostly through the
+  // latch-free hit path, while two others stream cold pages through a
+  // four-frame pool, so the CLOCK sweep keeps reaching the hot frames in
+  // the instant they are unpinned. The sweep claims a victim by CAS: a pin
+  // that lands first must win and keep its frame resident.
+  constexpr std::uint64_t kOpsPerThread = 100000;
+  Pager pager(4096);
+  pager.EnableBuffer(4);
+  std::atomic<std::uint64_t> evicted_while_pinned{0};
+  RunInParallel(kThreads, [&](int t) {
+    for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
+      if (t < 2) {
+        const PageId hot = static_cast<PageId>(t);
+        PageGuard guard = pager.PinRead(hot);
+        if (guard.pinned() && !pager.buffer_pool().Resident(hot)) {
+          ++evicted_while_pinned;
+        }
+      } else {
+        pager.NoteRead(static_cast<PageId>(100 + (2 * i + t) % 1000));
+      }
+    }
+  });
+  EXPECT_EQ(evicted_while_pinned.load(), 0u);
+  EXPECT_GT(pager.buffer_pool().GetStats().evictions, 0u);
+}
+
+TEST(ConcurrentSmokeTest, ResizeWhileHittingAndPinning) {
+  // Four threads hit, miss, dirty and pin pages while a fifth resizes the
+  // pool across shard-count changes (8 and 64 frames run one shard, 512
+  // and 2048 run eight). Each resize freezes the frame words under the
+  // latch-free hits and guard releases, which must then fall back to the
+  // latched path without losing a touch, counting one twice, or leaking a
+  // pin. The resizer makes a fixed number of resizes, each after the
+  // workers advanced a few hundred ops, and the workers keep going until
+  // it is done, so the resizes land across the traffic however the threads
+  // are scheduled.
+  constexpr std::uint64_t kMinOpsPerThread = 1500;
+  constexpr std::uint64_t kPageSpan = 1500;
+  constexpr int kResizes = 120;
+  constexpr std::uint64_t kStepsPerResize = 3;  // 64 worker ops per step
+  Pager pager(4096);
+  pager.EnableBuffer(512);
+  std::atomic<std::uint64_t> read_touches{0};
+  std::atomic<std::uint64_t> evicted_while_pinned{0};
+  std::atomic<std::uint64_t> steps{0};
+  std::atomic<bool> resizing{true};
+  std::thread resizer([&] {
+    const std::size_t capacities[] = {8, 64, 512, 2048};
+    for (int i = 0; i < kResizes; ++i) {
+      pager.EnableBuffer(capacities[i % 4]);
+      const std::uint64_t next = steps.load() + kStepsPerResize;
+      while (steps.load() < next) std::this_thread::yield();
+    }
+    resizing = false;
+  });
+  RunInParallel(kThreads, [&](int t) {
+    std::uint64_t reads = 0;
+    for (std::uint64_t i = 0; i < kMinOpsPerThread || resizing.load(); ++i) {
+      // A small hot set yields hits; every fourth op spans the whole range
+      // and forces misses and sweeps.
+      const std::uint64_t x =
+          i * 7919 + static_cast<std::uint64_t>(t) * 104729;
+      const PageId page =
+          static_cast<PageId>(i % 4 == 0 ? x % kPageSpan : x % 48);
+      const PageId next = static_cast<PageId>((page + 1) % kPageSpan);
+      switch (i % 6) {
+        case 2: {
+          // A descent's worth of pins held across more traffic.
+          PinSet pins;
+          pins.Add(pager.PinRead(page));
+          pins.Add(pager.PinRead(next));
+          pager.NoteRead(page);
+          reads += 3;
+          break;
+        }
+        case 4: {
+          PageGuard guard = pager.PinWrite(page);
+          pager.NoteRead(next);
+          ++reads;
+          // No sweep or resize may drop a pinned frame.
+          if (guard.pinned() && !pager.buffer_pool().Resident(page)) {
+            ++evicted_while_pinned;
+          }
+          break;
+        }
+        case 5:
+          pager.NoteWrite(page);
+          break;
+        default:
+          pager.NoteRead(page);
+          ++reads;
+      }
+      if (i % 64 == 63) steps.fetch_add(1);
+    }
+    read_touches += reads;
+  });
+  resizer.join();
+  pager.EnableBuffer(0);
+  const AccessStats stats = pager.stats();
+  const BufferPoolStats pool = pager.buffer_pool().GetStats();
+  EXPECT_EQ(stats.reads + stats.buffer_hits, read_touches.load());
+  EXPECT_EQ(stats.buffer_hits, pool.read_hits);
+  EXPECT_EQ(stats.reads, pool.read_misses);
+  EXPECT_GT(stats.buffer_hits, 0u);
+  EXPECT_EQ(evicted_while_pinned.load(), 0u);
+  // Every guard was released: a leaked pin would keep its frame above the
+  // zero capacity.
+  EXPECT_EQ(pager.buffer_pool().ResidentPages(), 0u);
+  // Frame storage follows the largest capacity, not the resize count.
+  EXPECT_LE(pager.buffer_pool().AllocatedFrames(), std::size_t{4} * 2048);
 }
 
 /// A populated Example 5.1 database (small) whose store backs concurrent

@@ -251,6 +251,56 @@ TEST(BufferPoolTest, ReenableAfterDisableStartsCold) {
   EXPECT_FALSE(Read(pool, 1).hit);  // cold again: the flush dropped it
 }
 
+TEST(BufferPoolTest, CollidingHintsBothHitAndCountOnce) {
+  // 1 and 1 + 2^20 share a hint slot in any hint table under 2^20 slots:
+  // the later admission takes the slot, so the earlier page's hits find a
+  // hint naming the other page's frame and go through the latched path.
+  BufferPool pool;
+  pool.Resize(4);
+  const PageId a = 1;
+  const PageId b = 1 + (PageId{1} << 20);
+  EXPECT_FALSE(Read(pool, a).hit);
+  EXPECT_FALSE(Read(pool, b).hit);
+  EXPECT_TRUE(Read(pool, a).hit);
+  EXPECT_TRUE(Read(pool, b).hit);
+  EXPECT_TRUE(Write(pool, a).hit);
+  const BufferPoolStats s = pool.GetStats();
+  EXPECT_EQ(s.read_hits, 2u);
+  EXPECT_EQ(s.read_misses, 2u);
+  EXPECT_EQ(s.write_hits, 1u);
+  EXPECT_EQ(s.write_misses, 0u);
+  EXPECT_TRUE(pool.Dirty(a));
+  EXPECT_FALSE(pool.Dirty(b));
+  // Pins taken through either path name their own frame and release.
+  const BufferTouchResult pa = pool.TouchRead(a, /*pin=*/true);
+  const BufferTouchResult pb = pool.TouchRead(b, /*pin=*/true);
+  ASSERT_NE(pa.frame, nullptr);
+  ASSERT_NE(pb.frame, nullptr);
+  EXPECT_NE(pa.frame, pb.frame);
+  EXPECT_EQ(pool.Unpin(a, pa.frame), 0u);
+  EXPECT_EQ(pool.Unpin(b, pb.frame), 0u);
+  // Both unpinned: four fresh pages push both out.
+  for (PageId p = 10; p < 14; ++p) Read(pool, p);
+  EXPECT_FALSE(pool.Resident(a));
+  EXPECT_FALSE(pool.Resident(b));
+  EXPECT_EQ(pool.GetStats().pin_bypasses, 0u);
+}
+
+TEST(BufferPoolTest, FrameStorageIsBoundedByTheLargestCapacity) {
+  BufferPool pool;
+  pool.Resize(2048);
+  for (PageId p = 0; p < 2048; ++p) Read(pool, p);
+  const std::size_t allocated = pool.AllocatedFrames();
+  EXPECT_GE(allocated, 2048u);
+  EXPECT_LE(allocated, std::size_t{4} * 2048);
+  // Resizes below the largest capacity reuse the frame table.
+  for (int i = 0; i < 200; ++i) {
+    pool.Resize(i % 2 == 0 ? 8 : 2048);
+    for (PageId p = 0; p < 64; ++p) Read(pool, p);
+  }
+  EXPECT_EQ(pool.AllocatedFrames(), allocated);
+}
+
 TEST(BufferPoolTest, LargePoolsShardButStillAccountExactly) {
   BufferPool pool;
   pool.Resize(512);  // sharded fan-out

@@ -68,10 +68,91 @@ TEST(PagerBufferTest, WritesAreWriteBackAndAdmit) {
   pager.NoteRead(7);  // admitted by the writes
   EXPECT_EQ(pager.stats().reads, 0u);
   EXPECT_EQ(pager.stats().buffer_hits, 1u);
+  // logical_total() is the cold model's view of the reads only: the hit
+  // counts as the read it replaced, the two absorbed writes not at all.
+  EXPECT_EQ(pager.stats().logical_total(), 1u);
   // Disabling flushes the pool: the dirty page surfaces as one real write,
   // however many times it was dirtied.
   pager.EnableBuffer(0);
   EXPECT_EQ(pager.stats().writes, 1u);
+  EXPECT_EQ(pager.stats().logical_total(), 2u);
+}
+
+TEST(PagerBufferTest, GuardAcrossGrowUnpinsTheMovedFrame) {
+  Pager pager(4096);
+  pager.EnableBuffer(2);
+  PageGuard guard = pager.PinRead(1);
+  ASSERT_TRUE(guard.pinned());
+  // Growing past the sharding threshold re-stripes every frame into a
+  // larger frame table; the guard's word stays frozen in the old one.
+  pager.EnableBuffer(1024);
+  EXPECT_TRUE(pager.buffer_pool().Resident(1));
+  EXPECT_EQ(pager.stats().buffer_hits, 0u);
+  pager.NoteRead(1);  // the moved frame still hits
+  EXPECT_EQ(pager.stats().buffer_hits, 1u);
+  guard.Release();  // falls back to the latch and finds the moved frame
+  // Unpinned, so disabling drops the frame instead of keeping it above
+  // capacity for a pin that would never come back.
+  pager.EnableBuffer(0);
+  EXPECT_FALSE(pager.buffer_pool().Resident(1));
+  EXPECT_EQ(pager.buffer_pool().ResidentPages(), 0u);
+}
+
+TEST(PagerBufferTest, GuardAcrossShrinkRetiresItsFrameOnRelease) {
+  Pager pager(4096);
+  pager.EnableBuffer(4);
+  PageGuard guard = pager.PinWrite(1);  // pinned and dirty
+  pager.NoteRead(2);
+  // Shrink to one frame: 2 (unpinned, warmest) fits, 1 stays pinned above
+  // capacity.
+  pager.EnableBuffer(1);
+  EXPECT_TRUE(pager.buffer_pool().Resident(1));
+  EXPECT_TRUE(pager.buffer_pool().Resident(2));
+  EXPECT_EQ(pager.stats().writes, 0u);
+  // The release finds the pool over capacity, takes the latch, and retires
+  // the frame; its write-back is charged as a page write.
+  guard.Release();
+  EXPECT_FALSE(pager.buffer_pool().Resident(1));
+  EXPECT_TRUE(pager.buffer_pool().Resident(2));
+  EXPECT_EQ(pager.stats().writes, 1u);
+  EXPECT_EQ(pager.buffer_pool().GetStats().writebacks, 1u);
+}
+
+TEST(PagerBufferTest, PinSetReleasesInPushOrder) {
+  Pager pager(4096);
+  pager.EnableBuffer(4);
+  {
+    PinSet pins;
+    pins.Add(pager.PinRead(1));
+    pins.Add(pager.PinRead(2));
+    pins.Add(pager.PinRead(3));
+    pins.Add(PageGuard());  // empty guards add nothing
+    EXPECT_EQ(pins.size(), 3u);
+    // Shrink to one frame under three pins: all stay, above capacity.
+    pager.EnableBuffer(1);
+    EXPECT_EQ(pager.buffer_pool().ResidentPages(), 3u);
+  }
+  // Each release retires its frame while the pool is still over capacity:
+  // released 1, 2, 3 in that order, only 3 remains.
+  EXPECT_FALSE(pager.buffer_pool().Resident(1));
+  EXPECT_FALSE(pager.buffer_pool().Resident(2));
+  EXPECT_TRUE(pager.buffer_pool().Resident(3));
+}
+
+TEST(PagerBufferTest, FullPinSetReleasesTheExtraGuardAtOnce) {
+  constexpr PageId kFull = static_cast<PageId>(PinSet::kCapacity);
+  Pager pager(4096);
+  pager.EnableBuffer(kFull + 1);
+  PinSet pins;
+  for (PageId p = 0; p <= kFull; ++p) pins.Add(pager.PinRead(p));
+  EXPECT_EQ(pins.size(), PinSet::kCapacity);
+  // Pages 0..kFull-1 stay pinned; page kFull's guard was released, so it
+  // is the one frame a new admission can evict.
+  pager.NoteRead(1000);
+  EXPECT_FALSE(pager.buffer_pool().Resident(kFull));
+  EXPECT_TRUE(pager.buffer_pool().Resident(1000));
+  EXPECT_TRUE(pager.buffer_pool().Resident(0));
+  EXPECT_EQ(pager.buffer_pool().GetStats().pin_bypasses, 0u);
 }
 
 TEST(PagerBufferTest, ResizePreservesWarmState) {
