@@ -1,4 +1,4 @@
-// Experiment E7 (DESIGN.md): the two conclusions of Example 5.1.
+// The two conclusions of the paper's Example 5.1.
 //
 //  1. Splitting the path beats any single whole-path index: the paper
 //     reports 16.03 for {(Per.owns.man, NIX), (Comp.divs.name, MX)} vs

@@ -1,4 +1,4 @@
-// Experiment E4 (DESIGN.md): reproduces Figure 6 and the Section 5
+// Reproduces the paper's Figure 6 and the Section 5
 // walkthrough of Opt_Ind_Con on the hypothetical cost matrix for
 // Pex = C1.A1.A2.A3.A4.
 //

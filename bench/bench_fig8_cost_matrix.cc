@@ -1,4 +1,4 @@
-// Experiments E5+E6 (DESIGN.md): Figure 7's database/workload
+// Figure 8 of the paper: Figure 7's database/workload
 // characteristics feed the cost model of Section 3; the resulting cost
 // matrix for Pexa = Per.owns.man.divs.name is the paper's Figure 8
 // (15 subpath/organization cells per column, row minima underlined).

@@ -1,4 +1,4 @@
-// Experiment E8 (DESIGN.md): the complexity claims of Section 5.
+// The complexity claims of the paper's Section 5.
 //
 //  - A path of length n has n(n+1)/2 subpaths (cost-matrix rows) and
 //    2^(n-1) recombinations.

@@ -1,4 +1,4 @@
-// Ablation (DESIGN.md experiment index): where each organization wins.
+// Ablation: where each organization wins.
 //
 // The paper motivates index configurations by the tension between NIX's
 // single-probe queries and its expensive maintenance. This bench sweeps

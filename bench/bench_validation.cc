@@ -1,4 +1,4 @@
-// Validation experiment (DESIGN.md §6): the paper validated its cost model
+// Validation experiment: the paper validated its cost model
 // against the analysis in its unavailable technical report [7]; our
 // substitute evidence is the page-level simulator. This bench populates a
 // 1/10-scale Figure 7 database, collects the *actual* statistics

@@ -69,7 +69,7 @@ int main() {
             << rec.total_cost_independent
             << "\ntotal cost, shared indexes     : " << rec.total_cost_shared
             << "\n\n(The merge is a documented greedy heuristic — the paper "
-               "leaves multi-path\nselection to future work; see DESIGN.md "
-               "§7.)\n";
+               "leaves multi-path\nselection to future work; see README, "
+               "\"Workload advisor\".)\n";
   return 0;
 }

@@ -8,7 +8,9 @@
 // controller (monitor / joint selection / hysteresis, reconfiguring live),
 // the per-phase oracle, and the static candidates — the optimum of the
 // averaged mix and of each phase's mix, plus the unbudgeted per-path
-// optima. A single path is the one-path case of the same pipeline.
+// optima. A single path is the one-path case of the same pipeline. The
+// last table checks the cost model against the averaged-mix static's
+// replay, per phase and per path.
 //
 //   $ ./examples/pathix_online ../examples/specs/vehicle_drift_trace.pix
 //   $ ./examples/pathix_online ../examples/specs/vehicle_joint_trace.pix
@@ -21,7 +23,8 @@
 //                        model, where every touch is a charged page access.
 //                        Buffered runs are a hot/cold ablation: the
 //                        acceptance envelope is printed but not enforced
-//                        (the envelope is a cold-model contract).
+//                        (the envelope is a cold-model contract), and the
+//                        measured-vs-modeled table measures buffered pages.
 //
 // Observability flags (any mix, before or after the spec file):
 //   --metrics            print an online-run metrics summary to stdout
@@ -65,7 +68,6 @@
 #include "obs/trace.h"
 #include "online/decision_record.h"
 #include "online/joint_experiment.h"
-#include "online/measured_validation.h"
 
 namespace {
 
@@ -122,20 +124,21 @@ void PrintHeader(const pathix::TraceSpec& s) {
   std::printf(" %12s %12s\n", "modeled", "measured");
 }
 
-// The `measure on` extra: the whole trace replayed once more under the
-// average-mix optimum, the analytic matrix compared against the pager's
-// scoped tallies per phase and per path.
-int PrintMeasuredVsModeled(const pathix::TraceSpec& s) {
+// The cost model against the avg-mix static's replay: the analytic matrix
+// per phase and per path next to the pager's tallies. Buffered runs measure
+// through the pool, so the header says so.
+void PrintMeasuredVsModeled(const pathix::MeasuredVsModeled& v,
+                            std::size_t buffer_pages) {
   using namespace pathix;
-  Result<MeasuredVsModeledReport> validation = RunMeasuredVsModeled(s);
-  if (!validation.ok()) {
-    std::cerr << "error: " << validation.status().ToString() << "\n";
-    return 1;
+  if (buffer_pages > 0) {
+    std::printf("\nmeasured vs modeled (fixed avg-mix optimum, served through "
+                "a %zu-page buffer pool; pages/op):\n",
+                buffer_pages);
+  } else {
+    std::printf("\nmeasured vs modeled (fixed avg-mix optimum; pages/op):\n");
   }
-  const MeasuredVsModeledReport& v = validation.value();
-  std::printf("\nmeasured vs modeled (fixed avg-mix optimum; pages/op):\n"
-              "  %-12s %-10s %10s %10s %8s\n",
-              "phase", "path", "measured", "modeled", "ratio");
+  std::printf("  %-12s %-10s %10s %10s %8s\n", "phase", "path", "measured",
+              "modeled", "ratio");
   for (const MeasuredVsModeledCell& cell : v.cells) {
     std::printf("  %-12s %-10s %10.2f %10.2f %8.2f\n", cell.phase.c_str(),
                 cell.path.c_str(), cell.measured_pages_per_op,
@@ -146,7 +149,6 @@ int PrintMeasuredVsModeled(const pathix::TraceSpec& s) {
                 "(all)", phase.measured_pages_per_op,
                 phase.modeled_pages_per_op, phase.ratio());
   }
-  return 0;
 }
 
 // ------------------------------------------------------- observability glue
@@ -545,7 +547,7 @@ int Run(const pathix::TraceSpec& s, const ObsFlags& flags,
                                 : "(outside the 2x envelope)");
 
   if (!EmitObservability(s, r, flags)) return 1;
-  if (s.measure && PrintMeasuredVsModeled(s) != 0) return 1;
+  PrintMeasuredVsModeled(r.measured_vs_modeled, buffer_pages);
 
   // The acceptance envelope is a property of the paper's cold cost model:
   // a warm pool shrinks every measured total while the modeled transition

@@ -27,7 +27,9 @@
 //
 // Exit status: 0 when every phase's merged tallies account for every
 // sampled op (executed + deterministic no-ops == ops) — the no-lost-ops
-// invariant — and the controller stayed healthy; 1 otherwise.
+// invariant — and the controller stayed healthy; 1 otherwise, and 1
+// before populating for a spec a replay cannot run (CheckReplayableSpec
+// in online/trace.h: NX/PX candidates, matching_keys other than 1).
 
 #include <charconv>
 #include <cstdint>
@@ -204,6 +206,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   const TraceSpec& s = spec.value();
+  // Reject what a replay cannot run before populating anything.
+  if (const Status replayable = CheckReplayableSpec(s); !replayable.ok()) {
+    std::cerr << "error: " << replayable.ToString() << "\n";
+    return 1;
+  }
   if (spec_file.empty()) {
     std::cout << "(no spec file given; using the embedded demo — pass a "
                  "trace .pix file, e.g. examples/specs/"

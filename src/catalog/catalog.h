@@ -18,7 +18,9 @@ namespace pathix {
 /// \brief Physical storage parameters.
 ///
 /// The paper's extended technical report [7] fixes these for its experiment;
-/// it is unavailable, so PathIx exposes them explicitly (DESIGN.md §4.6, §6).
+/// it is unavailable, so PathIx exposes them explicitly (the spec format's
+/// `page_size`, `oid_len` and `key_len`, io/spec_parser.h; README, "Measured
+/// vs modeled costs", checks the model under them against the simulator).
 /// Defaults model a 4 KiB page with 8-byte oids/pointers/keys.
 struct PhysicalParams {
   double page_size = 4096;  ///< p: bytes per page

@@ -9,7 +9,7 @@
 /// \file multipath.h
 /// \brief Extension (paper's Section 6, "further research"): index selection
 /// for a *set* of paths that may overlap. PathIx implements the greedy
-/// sharing heuristic described in DESIGN.md §7: optimize each path
+/// sharing heuristic (README, "Workload advisor"): optimize each path
 /// independently, then merge physically identical indexed subpaths (same
 /// class/attribute sequence, same organization) so their storage and
 /// maintenance are paid once.

@@ -11,7 +11,8 @@
 /// records (one per distinct key value); non-leaf records are
 /// (attribute value, pointer) pairs. The paper defers the height/occupancy
 /// computation to its technical report [7]; we use the standard bottom-up
-/// construction (DESIGN.md §4.1).
+/// construction, which the model-vs-simulation tests check against the
+/// physical B+-trees (README, "Testing").
 
 namespace pathix {
 

@@ -56,7 +56,7 @@ SubpathCost WeighSubpathCost(const SubpathUnitCosts& unit,
                              const PathContext& ctx, int a, int b);
 
 /// \brief Computes the processing cost of indexing the subpath [a, b] of the
-/// context's path with organization \p org (DESIGN.md §4.5):
+/// context's path with organization \p org (the paper's Section 4):
 ///
 ///   PC(S, X) = sum_{C_{l,x} in scope(S)} alpha CR_X(C_{l,x})
 ///            + prefix_alpha(S) * CR+_X(C_a)

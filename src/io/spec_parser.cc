@@ -392,14 +392,6 @@ Result<WorkloadSpec> ParseSpecImpl(const std::string& text, SpecMode mode,
       }
       if (mix.query + mix.insert + mix.del > 0) phase_has_weight = true;
       trace->mixes.push_back(std::move(mix));
-    } else if (cmd == "measure" && trace_out != nullptr) {
-      // measure on|off — opt the trace into the measured-vs-modeled
-      // validation replay (pathix_online prints the per-phase, per-path
-      // comparison when on).
-      if (tok.size() != 2 || (tok[1] != "on" && tok[1] != "off")) {
-        return LineError(line_no, "measure expects 'on' or 'off'");
-      }
-      trace_out->measure = tok[1] == "on";
     } else if (cmd == "budget") {
       if (!multi_path) {
         return LineError(line_no,
@@ -417,7 +409,7 @@ Result<WorkloadSpec> ParseSpecImpl(const std::string& text, SpecMode mode,
       spec.has_budget = true;
       spec.joint_options.storage_budget_bytes = v;
     } else if (cmd == "populate" || cmd == "trace_seed" || cmd == "phase" ||
-               cmd == "mix" || cmd == "measure") {
+               cmd == "mix") {
       return LineError(line_no, cmd + " is only valid in trace specs "
                                       "(pathix_online)");
     } else {

@@ -61,7 +61,6 @@
 ///
 ///   populate Person 5000 200 1.0  # CLASS COUNT [DISTINCT [NIN]]
 ///   trace_seed 42                 # replay RNG seed (optional)
-///   measure on                    # measured-vs-modeled validation replay
 ///   phase reporting 4000          # NAME OPS — a batch of 4000 operations
 ///   mix Person 0.8 0.1 0.1        # CLASS query insert delete weights
 ///   phase ingest 3000             # drift: the mix shifts per phase
@@ -82,6 +81,11 @@
 /// statically *claimed* per-path distribution (what an offline advisor
 /// would be given); the phases are the ground truth the trace actually
 /// executes. `budget` carries into the online joint controller.
+///
+/// The parser accepts every workload directive, but a replay runs equality
+/// probes on physical indexes: the runners reject `orgs` naming NX or PX
+/// and any `matching_keys` other than 1 before they populate
+/// (CheckReplayableSpec, online/trace.h).
 
 namespace pathix {
 
@@ -175,11 +179,6 @@ struct TraceSpec {
   std::uint32_t seed = 7;
   std::vector<TracePopulate> populate;
   std::vector<TracePhase> phases;
-  /// `measure on`: opt into the measured-vs-modeled validation replay
-  /// (online/measured_validation.h) — pathix_online prints the per-phase,
-  /// per-path comparison of pager-measured page traffic against the
-  /// analytic cost matrix when set.
-  bool measure = false;
 };
 
 /// Parses a trace spec (one or more paths + populate/phase/mix sections).

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,9 @@
 ///    mixes (all budget-feasible by construction), plus the unbudgeted
 ///    per-path independent optima (physically identical to the greedy
 ///    merge, since the registry shares identical structures either way) as
-///    the context baseline.
+///    the context baseline. They are solved on the oracle's store after it
+///    is populated and before its first phase, on the oracle's phase-0
+///    statistics.
 ///
 /// For one unbudgeted path the joint statics are the paper's: the offline
 /// optimum of the averaged mix and of each phase's mix (the independent
@@ -35,6 +38,13 @@
 /// acceptance envelope compares the online run against the best
 /// *budget-feasible* static (the independent baseline may exceed the budget
 /// and only bounds what unlimited storage would buy).
+///
+/// The avg-mix static's replay doubles as the cost model's check against
+/// whole replayed traces: per phase and per path, its pager-measured pages
+/// sit next to the analytic matrix of its configuration under the phase's
+/// true mixes, priced on the statistics the oracle collected entering the
+/// phase. The store evolves identically under every configuration, so
+/// those are the statistics of the avg-mix run's own store.
 
 namespace pathix {
 
@@ -77,6 +87,50 @@ struct JointStaticCandidate {
   ExperimentRun run;
 };
 
+/// One (phase, path) comparison of query-side page traffic.
+struct MeasuredVsModeledCell {
+  std::string phase;
+  PathId path;
+  std::uint64_t query_ops = 0;  ///< query operations observed on the path
+  /// Pager per-path tally of the phase's queries, per replayed operation.
+  double measured_pages_per_op = 0;
+  /// The matrix expectation (query + prefix of the installed parts under
+  /// the phase's true mix), per operation.
+  double modeled_pages_per_op = 0;
+
+  /// measured / modeled (how far reality sits from the model; 0 when the
+  /// modeled side is zero).
+  double ratio() const {
+    return modeled_pages_per_op > 0
+               ? measured_pages_per_op / modeled_pages_per_op
+               : 0;
+  }
+};
+
+/// One phase's whole-traffic comparison (queries of every path, index
+/// maintenance deduped per distinct structure, store I/O baseline).
+struct MeasuredVsModeledPhase {
+  std::string phase;
+  std::uint64_t ops = 0;
+  double measured_pages_per_op = 0;
+  double modeled_pages_per_op = 0;
+
+  double ratio() const {
+    return modeled_pages_per_op > 0
+               ? measured_pages_per_op / modeled_pages_per_op
+               : 0;
+  }
+};
+
+/// The cost model against the static:avg-mix replay (statics[0]). A phase
+/// with no operations or no mix weight has no entries; a path gets a cell
+/// only when the phase directed at least 50 queries at it (below that,
+/// sampling noise drowns the signal).
+struct MeasuredVsModeled {
+  std::vector<MeasuredVsModeledCell> cells;
+  std::vector<MeasuredVsModeledPhase> phases;
+};
+
 struct JointExperimentReport {
   /// The online run; its phases' decision slices hold the ledger.
   ExperimentRun online;
@@ -98,8 +152,13 @@ struct JointExperimentReport {
   /// Per phase, per path: the joint oracle's installed configurations.
   std::vector<std::vector<IndexConfiguration>> oracle_configs;
 
+  /// statics[0] is always the avg-mix joint optimum (label "avg-mix").
   std::vector<JointStaticCandidate> statics;
   int best_static_joint = -1;  ///< cheapest budget-respecting static
+
+  /// Measured vs modeled on statics[0]'s replay (buffered when the
+  /// experiment runs through a buffer pool).
+  MeasuredVsModeled measured_vs_modeled;
 
   double best_static_joint_cost() const {
     return best_static_joint >= 0
@@ -123,7 +182,9 @@ struct JointExperimentReport {
 
 /// Replays \p spec's trace online / joint-oracle / static and assembles
 /// the report. Deterministic for a fixed spec (including its seed). The
-/// online controller runs with ControllerOptionsFor(spec, options).
+/// online controller runs with ControllerOptionsFor(spec, options). An
+/// unreplayable spec fails with CheckReplayableSpec's status
+/// (online/trace.h) before anything is populated.
 ///
 /// \p buffer_pages > 0 serves every run (online, oracle, statics) through
 /// a buffer pool of that capacity, enabled after population so each replay
@@ -132,43 +193,6 @@ struct JointExperimentReport {
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages = 0);
-
-// ------------------------------------------------ trace-replay helpers
-// Shared by RunJointOnlineExperiment and RunMeasuredVsModeled
-// (online/measured_validation.h).
-
-/// The guard of every trace replay: FailedPrecondition when the spec's
-/// candidate organizations include NX/PX (model-only; a replay runs
-/// physical configurations), InvalidArgument when it declares no paths.
-Status CheckReplayableSpec(const TraceSpec& spec);
-
-/// Sum of every weight of the phase's mix (all paths' queries plus the
-/// updates): the normalizer turning weighted model costs into pages per
-/// replayed operation, one scale for every path.
-double PhaseWeight(const TracePhase& phase);
-
-/// Statistics exactly as the joint controller's scoped ANALYZE collects
-/// them on first refresh (everything in every path's scope, shared
-/// (class, attribute) pairs scanned once), so replay-side solves are
-/// apples to apples with the online run.
-Catalog CollectWorkloadStatistics(const SimDatabase& db, const TraceSpec& spec);
-
-/// The joint optimum for the given per-path loads (parallel to
-/// spec.paths) under the spec's budget, on \p catalog (live statistics of
-/// the database the replay runs on).
-Result<std::vector<IndexConfiguration>> SolveJoint(
-    const SimDatabase& db, const TraceSpec& spec,
-    const std::vector<LoadDistribution>& loads, const Catalog& catalog);
-
-/// Installs one configuration per path of \p spec as one batch (uncounted).
-Status InstallAll(SimDatabase* db, const TraceSpec& spec,
-                  const std::vector<IndexConfiguration>& configs);
-
-/// The ops-weighted average of the trace's phase mixes, one load per path
-/// (parallel to spec.paths) — the loads a one-shot offline advisor would
-/// be handed if the drift were averaged away. All paths share one
-/// normalization scale.
-std::vector<LoadDistribution> TraceAverageMixes(const TraceSpec& spec);
 
 /// The offline optimum (O(n^2) DP on the full cost matrix) for \p load on
 /// statistics collected live from \p db, under \p physical_params (the

@@ -1,6 +1,7 @@
 #include "online/trace.h"
 
 #include <algorithm>
+#include <cstdio>
 
 namespace pathix {
 
@@ -158,6 +159,28 @@ ControllerOptions ControllerOptionsFor(const TraceSpec& spec,
   options.physical_params = spec.catalog.params();
   options.storage_budget_bytes = spec.storage_budget_bytes;
   return options;
+}
+
+Status CheckReplayableSpec(const TraceSpec& spec) {
+  for (IndexOrg org : spec.options.orgs) {
+    if (org == IndexOrg::kNX || org == IndexOrg::kPX) {
+      return Status::FailedPrecondition(
+          "NX/PX are model-only candidates; trace replays run physical "
+          "configurations");
+    }
+  }
+  const double matching_keys = spec.options.query_profile.matching_keys;
+  if (matching_keys != 1) {
+    char width[32];
+    std::snprintf(width, sizeof(width), "%g", matching_keys);
+    return Status::FailedPrecondition(
+        std::string("matching_keys ") + width +
+        " prices range predicates; trace replays run equality probes only");
+  }
+  if (spec.paths.empty()) {
+    return Status::InvalidArgument("trace spec declares no paths");
+  }
+  return Status::OK();
 }
 
 }  // namespace pathix

@@ -125,4 +125,12 @@ class TraceOpExecutor {
 ControllerOptions ControllerOptionsFor(const TraceSpec& spec,
                                        ControllerOptions options = {});
 
+/// The guard every runner of a spec calls before it populates
+/// (RunJointOnlineExperiment, pathix_serve). FailedPrecondition when the
+/// candidate organizations include NX/PX (model-only; a replay runs
+/// physical configurations) or `matching_keys` is not 1 (a replay runs
+/// equality probes only, so a wider predicate prices queries it never
+/// runs); InvalidArgument when the spec declares no paths.
+Status CheckReplayableSpec(const TraceSpec& spec);
+
 }  // namespace pathix

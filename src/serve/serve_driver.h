@@ -26,9 +26,10 @@
 /// spec, run on the calling thread: the same decision ledger and tallies
 /// on every run (tests/online/replay_determinism_test.cc pins
 /// the bytes, scripts/obs_smoke.py the shipped ledger). That is the
-/// single-threaded replay every experiment runs on (joint_experiment.h,
-/// measured_validation.h). With N > 1 each worker's op sequence is
-/// deterministic; the interleaving between workers is
+/// single-threaded replay every run of the experiment serves
+/// (online/joint_experiment.h: online, oracle, statics; the avg-mix
+/// static doubles as the cost model's check). With N > 1 each worker's op
+/// sequence is deterministic; the interleaving between workers is
 /// scheduling-dependent, which is the point — it exercises the engine's
 /// concurrency under a reproducible per-thread workload.
 ///

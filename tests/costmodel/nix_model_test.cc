@@ -1,5 +1,5 @@
 // Dedicated tests of the NIX cost model's geometry and maintenance terms,
-// parameterized over page sizes (the physical knob of DESIGN.md §4.6).
+// parameterized over page sizes (the physical knob of PhysicalParams).
 
 #include "costmodel/nix_model.h"
 

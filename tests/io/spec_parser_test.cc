@@ -62,6 +62,16 @@ TEST(SpecParserTest, ErrorsCarryLineNumbers) {
   Result<AdvisorSpec> spec = ParseAdvisorSpec(bad);
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().message().find("line 2"), std::string::npos);
+  // `measure` is no directive: every experiment checks the model.
+  const char* measure =
+      "class A 10 10 1\nattr A name string\npath A name\n"
+      "populate A 10\nmeasure off\nphase hot 10\nmix A 1 0 0\n";
+  Result<TraceSpec> trace = ParseTraceSpec(measure);
+  ASSERT_FALSE(trace.ok());
+  EXPECT_NE(trace.status().message().find("line 5: unknown directive "
+                                          "'measure'"),
+            std::string::npos)
+      << trace.status().ToString();
 }
 
 TEST(SpecParserTest, UnknownClassInRefRejected) {

@@ -1,7 +1,8 @@
 // Acceptance criteria of the online subsystem, on the shipped three-phase
 // drift trace: total online page cost (including modeled transition
 // charges) beats the best single static configuration and stays within 2x
-// of the per-phase offline oracle.
+// of the per-phase offline oracle; and the cost model stays within its
+// measured-vs-modeled envelope on the avg-mix static's replay.
 
 #include <gtest/gtest.h>
 
@@ -51,6 +52,50 @@ TEST(DriftTraceTest, OnlineBeatsBestStaticAndTracksTheOracle) {
   // static candidate (same candidate set, free install) beats it.
   for (const JointStaticCandidate& c : r.statics) {
     EXPECT_GE(c.run.total_cost(), r.oracle.total_cost() * 0.999);
+  }
+
+  // The cost model stays inside a stated envelope of pager-measured
+  // reality over the whole replayed trace, per path and per phase, on the
+  // avg-mix static's replay (statics[0]). This extends model_vs_sim_test.cc
+  // (single queries, fresh statistics) to what the selection pipeline
+  // consumes: trace-long expectations under drifting mixes, with
+  // shared-part maintenance deduped exactly as the joint advisor prices it.
+  // The envelope is asymmetric and documented in the README ("Measured vs
+  // modeled costs"):
+  //  - per-path query cells: measured within [1/3, 3] of the matrix — the
+  //    same factor the single-query validation grants each organization
+  //    model (observed on the shipped specs: 0.59..1.06);
+  //  - whole-phase totals (queries + maintenance + store baseline): within
+  //    [1/2, 2] — maintenance models are the loosest component (observed:
+  //    1.05..1.40, the update-heavy ingest phase being the worst).
+  constexpr double kCellFactor = 3.0;
+  constexpr double kPhaseFactor = 2.0;
+  const MeasuredVsModeled& report = r.measured_vs_modeled;
+  ASSERT_EQ(r.statics[0].label, "avg-mix");
+  ASSERT_EQ(r.statics[0].configs.size(), spec.value().paths.size());
+  ASSERT_EQ(report.phases.size(), spec.value().phases.size());
+  ASSERT_FALSE(report.cells.empty());
+
+  for (const MeasuredVsModeledCell& cell : report.cells) {
+    ASSERT_GT(cell.modeled_pages_per_op, 0)
+        << cell.phase << "/" << cell.path;
+    EXPECT_LE(cell.measured_pages_per_op,
+              cell.modeled_pages_per_op * kCellFactor)
+        << cell.phase << "/" << cell.path << " over " << cell.query_ops
+        << " query ops";
+    EXPECT_LE(cell.modeled_pages_per_op,
+              cell.measured_pages_per_op * kCellFactor)
+        << cell.phase << "/" << cell.path << " over " << cell.query_ops
+        << " query ops";
+  }
+  for (const MeasuredVsModeledPhase& phase : report.phases) {
+    ASSERT_GT(phase.modeled_pages_per_op, 0) << phase.phase;
+    EXPECT_LE(phase.measured_pages_per_op,
+              phase.modeled_pages_per_op * kPhaseFactor)
+        << phase.phase;
+    EXPECT_LE(phase.modeled_pages_per_op,
+              phase.measured_pages_per_op * kPhaseFactor)
+        << phase.phase;
   }
 }
 

@@ -2,7 +2,8 @@
 // two-path three-phase drift trace with its binding storage budget: total
 // joint online page cost (including modeled transition charges) beats the
 // best static *joint* assignment and stays within 2x of the per-phase
-// joint oracle.
+// joint oracle; and the cost model stays within its measured-vs-modeled
+// envelope on the avg-mix static's replay, per path and per phase.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,40 @@ TEST(JointDriftTraceTest, OnlineBeatsBestStaticJointAndTracksTheOracle) {
   for (const JointStaticCandidate& c : r.statics) {
     if (!c.respects_budget) continue;
     EXPECT_GE(c.run.total_cost(), r.oracle.total_cost() * 0.999) << c.label;
+  }
+
+  // The cost model's envelope on the avg-mix static's replay (statics[0]),
+  // as in drift_test.cc: per-path query cells within a factor 3 of the
+  // matrix (observed here: 0.59..1.06, fleet's registry cell the lowest),
+  // whole-phase totals within 2 (observed: 1.06..1.40).
+  constexpr double kCellFactor = 3.0;
+  constexpr double kPhaseFactor = 2.0;
+  const MeasuredVsModeled& report = r.measured_vs_modeled;
+  ASSERT_EQ(r.statics[0].label, "avg-mix");
+  ASSERT_EQ(r.statics[0].configs.size(), spec.paths.size());
+  ASSERT_EQ(report.phases.size(), spec.phases.size());
+  ASSERT_FALSE(report.cells.empty());
+
+  for (const MeasuredVsModeledCell& cell : report.cells) {
+    ASSERT_GT(cell.modeled_pages_per_op, 0)
+        << cell.phase << "/" << cell.path;
+    EXPECT_LE(cell.measured_pages_per_op,
+              cell.modeled_pages_per_op * kCellFactor)
+        << cell.phase << "/" << cell.path << " over " << cell.query_ops
+        << " query ops";
+    EXPECT_LE(cell.modeled_pages_per_op,
+              cell.measured_pages_per_op * kCellFactor)
+        << cell.phase << "/" << cell.path << " over " << cell.query_ops
+        << " query ops";
+  }
+  for (const MeasuredVsModeledPhase& phase : report.phases) {
+    ASSERT_GT(phase.modeled_pages_per_op, 0) << phase.phase;
+    EXPECT_LE(phase.measured_pages_per_op,
+              phase.modeled_pages_per_op * kPhaseFactor)
+        << phase.phase;
+    EXPECT_LE(phase.modeled_pages_per_op,
+              phase.measured_pages_per_op * kPhaseFactor)
+        << phase.phase;
   }
 }
 
