@@ -7,7 +7,7 @@
 //  - overlap: k fixed-length paths that share a common tail of varying
 //    length (0 = disjoint chains, larger = more shareable candidates).
 //
-// Reports the three totals, the joint improvement over the greedy merge,
+// Reports the three totals, the joint improvement over the greedy seed,
 // and the solve time / explored nodes of the exhaustive and
 // branch-and-bound joint optimizers. Self-timed (no Google Benchmark).
 
@@ -259,7 +259,7 @@ int main() {
   SweepOverlap(&json);
   std::printf(
       "(joint <= greedy <= independent by construction; the joint "
-      "optimizer's edge\n grows with overlap, since the greedy merge only "
+      "optimizer's edge\n grows with overlap, since the greedy seed only "
       "shares indexes the per-path\n optima happen to agree on)\n");
   json.Write();
   return 0;

@@ -1,8 +1,9 @@
 // pathix_workload_advise: joint, storage-budgeted index selection for a
 // workload of overlapping paths — feed it a workload spec (see
 // src/io/spec_parser.h for the format), get one index configuration per
-// path chosen over the shared candidate pool, compared against the greedy
-// merge and the independent per-path optima.
+// path chosen over the shared candidate pool, compared against the search's
+// greedy seed (the per-path standalone optima, sharing what they have in
+// common) and the sum of those optima.
 //
 //   $ ./examples/pathix_workload_advise ../examples/specs/vehicle_workload.pix
 //   $ ./examples/pathix_workload_advise    # runs the embedded demo spec
@@ -71,9 +72,10 @@ int main(int argc, char** argv) {
               << "  joint pick : "
               << sel.config.ToString(s.schema, s.paths[i].path) << "\n"
               << "  standalone : "
-              << r.greedy.per_path[i].result.config.ToString(
-                     s.schema, s.paths[i].path)
-              << "  (cost " << r.greedy.per_path[i].result.cost << ")\n";
+              << r.joint.greedy_per_path[i].config.ToString(s.schema,
+                                                            s.paths[i].path)
+              << "  (cost " << r.joint.greedy_per_path[i].standalone_cost
+              << ")\n";
   }
 
   std::cout << "\nphysical indexes chosen (" << r.joint.chosen.size()
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
   const char* baseline_note = s.has_budget ? "  (ignores the budget)" : "";
   std::printf(
       "\ntotal cost, independent optima : %.6g%s\n"
-      "total cost, greedy merge       : %.6g%s\n"
+      "total cost, greedy seed        : %.6g%s\n"
       "total cost, joint selection    : %.6g\n",
       r.total_cost_independent, baseline_note, r.total_cost_greedy,
       baseline_note, r.total_cost_joint);

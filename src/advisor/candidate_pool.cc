@@ -108,6 +108,12 @@ Result<CandidatePool> CandidatePoolBuilder::Build(
         const Subpath& sp = subpaths[row];
         for (std::size_t col = 0; col < options.orgs.size(); ++col) {
           const IndexOrg org = options.orgs[col];
+          // A multi-level MX or NONE block is its per-level split, whose
+          // single-level entries this loop already creates.
+          if ((org == IndexOrg::kMX || org == IndexOrg::kNone) &&
+              sp.length() > 1) {
+            continue;
+          }
           StructuralKey key = StructuralKey::ForSubpath(paths[i].path,
                                                         sp.start, sp.end, org);
           CandidateUse use;  // cost fields filled by the reweigh below

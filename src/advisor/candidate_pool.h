@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/multipath.h"
+#include "core/advisor.h"
 #include "core/structural_key.h"
 #include "costmodel/subpath_cost.h"
 
@@ -15,21 +15,35 @@
 /// Section 6 "further research"; CoPhy-style in spirit) starts from one
 /// pool of *physical* index candidates: every subpath of every workload
 /// path under every candidate organization, structurally deduplicated via
-/// StructuralKey. Each distinct candidate is priced once for storage and
-/// once per using path for benefit:
+/// StructuralKey — except that MX and NONE appear on single-level subpaths
+/// only. An MX block over several levels is one simple index per (level,
+/// class) (Section 2.2), and a multi-level NONE block is no index on each
+/// of its levels: both are physically their per-level split, which the
+/// pool already holds, so every entry is one physical layout and a tied
+/// relabeling never enters the search. Each distinct candidate is priced
+/// once for storage and once per using path for benefit:
 ///
 ///  - query_prefix (per use): the retrieval share of the subpath cost —
 ///    what the using path pays whether or not anybody else uses the index;
 ///  - maintain (per use): the maintenance + boundary share attributed by
 ///    that path's load. Occurrences of one entry describe the same physical
 ///    update stream, so a shared entry charges the *maximum* occurrence
-///    (paid once), matching the greedy merge's accounting;
+///    (paid once);
 ///  - storage_bytes (per entry): structure-determined, charged once.
 ///
 /// The pool is plain data after Build(): the joint optimizer never needs to
 /// re-evaluate the cost model.
 
 namespace pathix {
+
+/// One path with its own workload. \p name is an optional caller-chosen
+/// identifier (spec path names; the online subsystem's SimDatabase path
+/// ids); empty when the workload is anonymous.
+struct PathWorkload {
+  std::string name;
+  Path path;
+  LoadDistribution load;
+};
 
 /// One workload path's use of a pool entry.
 struct CandidateUse {
@@ -73,7 +87,8 @@ class CandidatePool {
   const std::vector<CandidateEntry>& entries() const { return entries_; }
 
   /// Pool entry covering \p sp of path \p path_index with \p org, or -1 when
-  /// \p org is not among the candidate organizations.
+  /// the pool holds no such candidate: \p org is not among the candidate
+  /// organizations, or it is MX or NONE and \p sp spans several levels.
   int EntryFor(int path_index, const Subpath& sp, IndexOrg org) const;
 
   /// The priced use behind EntryFor (which must not be -1).

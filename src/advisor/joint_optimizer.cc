@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -24,43 +25,43 @@ struct PerPathConfig {
 };
 
 /// Enumerates every (split, per-block organization) configuration of one
-/// path. Without a storage budget, blocks whose candidate is unshareable
-/// are restricted to the cheapest organization: swapping a dominated
-/// unshareable organization for the per-block optimum never increases the
-/// joint cost, so optimality is preserved (the swap could change storage,
-/// hence the restriction is off under a budget). A path with more than
-/// kMaxConfigsPerPath configurations fails before any is built.
+/// path, each block under an organization the pool holds an entry for (so
+/// MX and NONE only on single-level blocks). Without a storage budget,
+/// blocks whose candidate is unshareable are restricted to the cheapest
+/// organization: swapping a dominated unshareable organization for the
+/// per-block optimum never increases the joint cost, so optimality is
+/// preserved (the swap could change storage, hence the restriction is off
+/// under a budget). A path with more than kMaxConfigsPerPath configurations
+/// fails before any is built.
 Status EnumerateConfigs(const CandidatePool& pool, int path_index,
                         bool restrict_orgs, std::vector<PerPathConfig>* out) {
   const int n = pool.path_length(path_index);
-  const std::vector<IndexOrg>& orgs = pool.orgs();
 
-  // Allowed organizations per subpath row.
+  // Allowed organizations per subpath row; a row without a pool entry
+  // allows none and starts no block.
   const std::vector<Subpath> subpaths = EnumerateSubpaths(n);
   std::vector<std::vector<IndexOrg>> allowed(subpaths.size());
   for (std::size_t row = 0; row < subpaths.size(); ++row) {
     const Subpath& sp = subpaths[row];
-    if (!restrict_orgs) {
-      allowed[row] = orgs;
-      continue;
-    }
-    IndexOrg best_org = orgs.front();
+    std::optional<IndexOrg> best_org;
     double best_cost = std::numeric_limits<double>::infinity();
-    for (const IndexOrg org : orgs) {
-      const CandidateUse& use = pool.UseFor(path_index, sp, org);
-      const double total = use.query_prefix + use.maintain;
+    for (const IndexOrg org : pool.orgs()) {
       const int entry = pool.EntryFor(path_index, sp, org);
-      if (pool.entries()[static_cast<std::size_t>(entry)].shareable) {
+      if (entry < 0) continue;
+      if (!restrict_orgs ||
+          pool.entries()[static_cast<std::size_t>(entry)].shareable) {
         allowed[row].push_back(org);
       }
-      if (total < best_cost) {
+      const CandidateUse& use = pool.UseFor(path_index, sp, org);
+      const double total = use.query_prefix + use.maintain;
+      if (!best_org || total < best_cost) {
         best_cost = total;
         best_org = org;
       }
     }
-    if (std::find(allowed[row].begin(), allowed[row].end(), best_org) ==
-        allowed[row].end()) {
-      allowed[row].push_back(best_org);
+    if (best_org && std::find(allowed[row].begin(), allowed[row].end(),
+                              *best_org) == allowed[row].end()) {
+      allowed[row].push_back(*best_org);
     }
   }
 
@@ -75,7 +76,8 @@ Status EnumerateConfigs(const CandidatePool& pool, int path_index,
     for (int e = s; e <= n; ++e) {
       const auto width = static_cast<long>(
           allowed[static_cast<std::size_t>(SubpathRowIndex(n, {s, e}))]
-              .size());  // >= 1
+              .size());
+      if (width == 0) continue;
       const long rest = tail[static_cast<std::size_t>(e) + 1];
       count = rest > (kSaturated - count) / width ? kSaturated
                                                   : count + width * rest;
@@ -322,8 +324,9 @@ Result<JointSelectionResult> SelectJointConfiguration(
                          &configs[static_cast<std::size_t>(i)]));
   }
 
-  // Greedy assignment: each path's standalone optimum. Evaluating it under
-  // the shared accounting reproduces the greedy merge's total.
+  // Greedy assignment: each path's standalone optimum (the restriction
+  // above keeps every block's cheapest organization, so it is enumerated
+  // with or without a budget).
   std::vector<int> greedy(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     std::size_t best = 0;
@@ -365,9 +368,12 @@ Result<JointSelectionResult> SelectJointConfiguration(
   }
   result.lower_bound = searcher.root_lower_bound();
   result.greedy_cost = greedy_cost;
-  result.greedy_storage_bytes = greedy_storage;
   result.greedy_feasible =
       greedy_storage <= options.storage_budget_bytes + kBytesEps;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const PerPathConfig& cfg = configs[i][static_cast<std::size_t>(greedy[i])];
+    result.greedy_per_path.push_back(JointPathSelection{cfg.config, cfg.full});
+  }
 
   if (options.capture_alternatives > 0) {
     // Score every single-config swap against the chosen assignment. The
@@ -411,11 +417,7 @@ Result<JointSelectionResult> SelectJointConfiguration(
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const PerPathConfig& cfg =
         configs[i][static_cast<std::size_t>(searcher.best_choice()[i])];
-    JointPathSelection sel;
-    sel.config = cfg.config;
-    sel.query_prefix_cost = cfg.qp;
-    sel.standalone_cost = cfg.full;
-    result.per_path.push_back(std::move(sel));
+    result.per_path.push_back(JointPathSelection{cfg.config, cfg.full});
     for (std::size_t p = 0; p < cfg.entry_ids.size(); ++p) {
       const int entry = cfg.entry_ids[p];
       auto [it, inserted] = distinct.emplace(entry);

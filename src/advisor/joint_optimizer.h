@@ -19,12 +19,14 @@
 ///
 /// subject to  sum_{distinct entries E used} storage(E) <= budget.
 ///
-/// This generalizes the greedy merge of AdviseMultiplePaths: when each
-/// path's standalone optimum is unique, those optima priced under this
-/// accounting are exactly the greedy `total_cost_shared` (tied optima may
-/// share differently). The joint optimum is <= its greedy seed <= the sum
-/// of independent optima by construction (the search is seeded with the
-/// greedy assignment and the space contains it).
+/// The pool holds one entry per physical layout (MX and NONE per level;
+/// advisor/candidate_pool.h), so no two configurations of a path differ
+/// only in how they spell the same indexes. The greedy seed is each path's
+/// standalone optimum priced under this accounting; it is the workload
+/// advisor's greedy baseline, and its per-path standalone costs sum to the
+/// independent baseline. Without a budget the joint optimum is <= its
+/// greedy seed <= the sum of independent optima by construction (the
+/// search is seeded with the greedy assignment and the space contains it).
 ///
 /// The search is a branch-and-bound over paths. The admissible lower bound
 /// for the unassigned paths is each path's optimum with maintenance (and
@@ -67,8 +69,7 @@ struct JointOptions {
 /// The configuration chosen for one workload path.
 struct JointPathSelection {
   IndexConfiguration config;
-  double query_prefix_cost = 0;  ///< retrieval share this path always pays
-  double standalone_cost = 0;    ///< unshared cost of the same configuration
+  double standalone_cost = 0;  ///< unshared cost of the same configuration
 };
 
 /// One distinct physical index of the joint solution.
@@ -107,10 +108,11 @@ struct JointSelectionResult {
   /// Single-swap alternatives, cheapest first, capped at
   /// capture_alternatives (empty when capturing is off).
   std::vector<JointCandidateScore> alternatives;
-  /// Greedy-seed quality: each path's standalone optimum, priced under the
-  /// shared accounting — what the search improved on.
+  /// The greedy seed: each path's standalone optimum (one per workload
+  /// path), and their total priced under the shared accounting — what the
+  /// search improved on.
+  std::vector<JointPathSelection> greedy_per_path;
   double greedy_cost = 0;
-  double greedy_storage_bytes = 0;
   bool greedy_feasible = false;
 };
 

@@ -13,19 +13,16 @@ Result<WorkloadRecommendation> AdviseWorkload(
   if (!pool.ok()) return pool.status();
   rec.pool = std::move(pool).value();
 
-  Result<MultiPathRecommendation> greedy =
-      AdviseMultiplePaths(schema, catalog, paths, options);
-  if (!greedy.ok()) return greedy.status();
-  rec.greedy = std::move(greedy).value();
-
   Result<JointSelectionResult> joint =
       SelectJointConfiguration(rec.pool, joint_options);
   if (!joint.ok()) return joint.status();
   rec.joint = std::move(joint).value();
 
   rec.total_cost_joint = rec.joint.total_cost;
-  rec.total_cost_greedy = rec.greedy.total_cost_shared;
-  rec.total_cost_independent = rec.greedy.total_cost_independent;
+  rec.total_cost_greedy = rec.joint.greedy_cost;
+  for (const JointPathSelection& seed : rec.joint.greedy_per_path) {
+    rec.total_cost_independent += seed.standalone_cost;
+  }
   return rec;
 }
 

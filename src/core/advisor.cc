@@ -6,9 +6,7 @@ Recommendation AdviseIndexConfiguration(const PathContext& ctx,
                                         const AdvisorOptions& options) {
   Recommendation rec;
   rec.matrix = CostMatrix::Build(ctx, options.orgs);
-  rec.result = options.use_branch_and_bound
-                   ? SelectBranchAndBound(rec.matrix, options.capture_trace)
-                   : SelectExhaustive(rec.matrix);
+  rec.result = SelectBranchAndBound(rec.matrix, options.capture_trace);
 
   for (const IndexedSubpath& part : rec.result.config.parts()) {
     rec.part_costs.push_back(ComputeSubpathCost(ctx, part.subpath.start,

@@ -18,8 +18,6 @@ struct AdvisorOptions {
   /// Candidate organizations (matrix columns). Adding organizations does not
   /// change the algorithm, as the paper notes in the abstract.
   std::vector<IndexOrg> orgs = {IndexOrg::kMX, IndexOrg::kMIX, IndexOrg::kNIX};
-  /// false switches Opt_Ind_Con to exhaustive enumeration (testing).
-  bool use_branch_and_bound = true;
   bool capture_trace = false;
   /// Predicate shape against the ending attribute (range extension).
   QueryProfile query_profile;

@@ -16,8 +16,12 @@
 /// Rendered labels ("Company.divs.name (MX)") are for humans only: they
 /// abbreviate the interior of the subpath, so keying shared-index detection
 /// on them conflates distinct structures (e.g. subclass-typed paths) the
-/// moment renderings collide. The advisor and the multi-path merge key on
-/// this structural identity instead and keep labels purely for reporting.
+/// moment renderings collide. The candidate pool, the part registry and
+/// the controller's shared accounting key on this structural identity
+/// instead and keep labels purely for reporting. The key spells the
+/// subpath as given: a multi-level MX or NONE block and its per-level split
+/// are one physical layout under different keys, which is why the joint
+/// stack's candidate pool offers MX and NONE per level only.
 
 namespace pathix {
 

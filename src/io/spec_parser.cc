@@ -275,6 +275,11 @@ Result<WorkloadSpec> ParseSpecImpl(const std::string& text, SpecMode mode,
       for (std::size_t i = 1; i < tok.size(); ++i) {
         Result<IndexOrg> org = ParseOrg(tok[i]);
         if (!org.ok()) return LineError(line_no, org.status().message());
+        if (std::find(spec.options.orgs.begin(), spec.options.orgs.end(),
+                      org.value()) != spec.options.orgs.end()) {
+          return LineError(line_no, "duplicate organization '" + tok[i] +
+                                        "' in orgs");
+        }
         spec.options.orgs.push_back(org.value());
       }
     } else if (cmd == "matching_keys") {

@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "advisor/candidate_pool.h"
 #include "advisor/joint_optimizer.h"
 #include "core/advisor.h"
-#include "core/multipath.h"
 
 /// \file spec_parser.h
 /// \brief Text format for advisor inputs, so the selection pipeline can be
@@ -40,7 +40,8 @@
 ///
 /// Single-path specs (ParseAdvisorSpec) allow exactly one `path`; repeating
 /// `path`, `orgs`, or `load` for the same class is an error (with the
-/// offending line number) rather than a silent override.
+/// offending line number) rather than a silent override, and so is naming
+/// one organization twice in `orgs`.
 ///
 /// Workload specs (ParseWorkloadSpec) extend the format to many paths:
 ///

@@ -34,13 +34,15 @@
 ///
 /// The paper's problem — one path, no budget — is the one-path case. An
 /// unbudgeted path contributes its 2^(n-1) recombinations (each block
-/// under its cheapest organization) to every drift check. Under a budget
-/// every block keeps every organization: |orgs| * (|orgs| + 1)^(n-1)
-/// configurations. Past kMaxConfigsPerPath (500,000) the solve fails at
-/// once with FailedPrecondition and the controller goes dormant
-/// (status()): from n = 20 without a budget, from n = 10 under one with
-/// the default MX/MIX/NIX. tests/online/joint_equivalence_test.cc pins the
-/// one-path commit records on the shipped drift trace to a golden.
+/// under its cheapest organization) to every drift check. Under a budget a
+/// one-level block keeps every organization and a longer block every one
+/// but MX and NONE (the candidate pool holds those per level only): with
+/// the default MX/MIX/NIX that is 413,403 configurations at n = 10.
+/// Past kMaxConfigsPerPath (500,000) the solve fails at once with
+/// FailedPrecondition and the controller goes dormant (status()): from
+/// n = 20 without a budget, from n = 11 under one with MX/MIX/NIX and from
+/// n = 9 with MX/MIX/NIX/NONE. tests/online/joint_equivalence_test.cc pins
+/// the one-path commit records on the shipped drift trace to a golden.
 
 namespace pathix {
 

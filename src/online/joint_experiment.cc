@@ -68,10 +68,12 @@ Catalog CollectWorkloadStatistics(const SimDatabase& db, const TraceSpec& spec) 
 
 /// The joint optimum for the given per-path loads (parallel to
 /// spec.paths) under the spec's budget, on \p catalog (live statistics of
-/// the database the replay runs on).
+/// the database the replay runs on). With \p standalone, instead the
+/// unbudgeted solve's greedy seed: each path's standalone optimum.
 Result<std::vector<IndexConfiguration>> SolveJoint(
     const SimDatabase& db, const TraceSpec& spec,
-    const std::vector<LoadDistribution>& loads, const Catalog& catalog) {
+    const std::vector<LoadDistribution>& loads, const Catalog& catalog,
+    bool standalone = false) {
   std::vector<PathWorkload> workloads;
   workloads.reserve(spec.paths.size());
   for (std::size_t p = 0; p < spec.paths.size(); ++p) {
@@ -87,13 +89,17 @@ Result<std::vector<IndexConfiguration>> SolveJoint(
       CandidatePool::Build(db.schema(), catalog, workloads, advisor_options);
   if (!pool.ok()) return pool.status();
   JointOptions joint_options;
-  joint_options.storage_budget_bytes = spec.storage_budget_bytes;
+  if (!standalone) {
+    joint_options.storage_budget_bytes = spec.storage_budget_bytes;
+  }
   Result<JointSelectionResult> joint =
       SelectJointConfiguration(pool.value(), joint_options);
   if (!joint.ok()) return joint.status();
   std::vector<IndexConfiguration> configs;
   configs.reserve(spec.paths.size());
-  for (const JointPathSelection& sel : joint.value().per_path) {
+  for (const JointPathSelection& sel : standalone
+                                           ? joint.value().greedy_per_path
+                                           : joint.value().per_path) {
     configs.push_back(sel.config);
   }
   return configs;
@@ -148,8 +154,8 @@ std::vector<LoadDistribution> TraceAverageMixes(const TraceSpec& spec) {
 /// The static field, solved on \p db's freshly populated store (whose
 /// statistics \p catalog holds): the joint optimum of the averaged mixes
 /// (always first) and of each phase's mixes, all under the budget, plus
-/// the unbudgeted per-path independent optima on the averaged mixes.
-/// Identical assignments are kept once.
+/// the per-path standalone optima of the averaged mixes. Identical
+/// assignments are kept once.
 Result<std::vector<JointStaticCandidate>> SolveStatics(const SimDatabase& db,
                                                        const TraceSpec& spec,
                                                        const Catalog& catalog) {
@@ -179,20 +185,13 @@ Result<std::vector<JointStaticCandidate>> SolveStatics(const SimDatabase& db,
     add_candidate("phase-" + phase.name, true, joint_phase.value());
   }
 
-  // Physically the independent optima coincide with the greedy merge
-  // (identical structures share through the registry either way); they may
-  // bust the budget and are reported as the what-unlimited-storage-buys
-  // baseline.
-  std::vector<IndexConfiguration> independent;
-  independent.reserve(spec.paths.size());
-  for (std::size_t p = 0; p < spec.paths.size(); ++p) {
-    Result<OptimizeResult> best =
-        OfflineOptimum(db, spec.paths[p].path, spec.options.orgs, avg[p],
-                       spec.catalog.params());
-    if (!best.ok()) return best.status();
-    independent.push_back(best.value().config);
-  }
-  add_candidate("independent-greedy", false, independent);
+  // The standalone optima share identical structures through the registry,
+  // as the greedy seed prices them; they may bust the budget and are
+  // reported as the what-unlimited-storage-buys baseline.
+  Result<std::vector<IndexConfiguration>> independent =
+      SolveJoint(db, spec, avg, catalog, /*standalone=*/true);
+  if (!independent.ok()) return independent.status();
+  add_candidate("independent-greedy", false, independent.value());
   return candidates;
 }
 

@@ -22,15 +22,15 @@
 ///    the per-phase lower bound the regret is measured against;
 ///  - statics: never-reconfigured assignments, installed up front: the
 ///    *joint* optimum of the ops-weighted average mixes and of each phase's
-///    mixes (all budget-feasible by construction), plus the unbudgeted
-///    per-path independent optima (physically identical to the greedy
-///    merge, since the registry shares identical structures either way) as
-///    the context baseline. They are solved on the oracle's store after it
-///    is populated and before its first phase, on the oracle's phase-0
+///    mixes (all budget-feasible by construction), plus the per-path
+///    standalone optima of the averaged mixes — the unbudgeted solve's
+///    greedy seed, whose identical structures the registry shares — as the
+///    context baseline. They are solved on the oracle's store after it is
+///    populated and before its first phase, on the oracle's phase-0
 ///    statistics.
 ///
 /// For one unbudgeted path the joint statics are the paper's: the offline
-/// optimum of the averaged mix and of each phase's mix (the independent
+/// optimum of the averaged mix and of each phase's mix (the standalone
 /// baseline coincides with the averaged one and is deduplicated).
 ///
 /// All runs replay the identical operation stream on one serving worker

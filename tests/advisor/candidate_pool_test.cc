@@ -49,8 +49,9 @@ TEST_F(CandidatePoolTest, SinglePathEnumeratesEverySubpathTimesOrg) {
       CandidatePool::Build(setup_.schema, setup_.catalog, {full_}).value();
   ASSERT_EQ(pool.num_paths(), 1);
   EXPECT_EQ(pool.path_length(0), 4);
-  // n(n+1)/2 subpaths x 3 default orgs, no duplicates within one path.
-  EXPECT_EQ(pool.entries().size(), 10u * 3u);
+  // The 4 one-level subpaths under the 3 default orgs, the 6 longer ones
+  // under MIX and NIX only; no duplicates within one path.
+  EXPECT_EQ(pool.entries().size(), 4u * 3u + 6u * 2u);
   for (const CandidateEntry& e : pool.entries()) {
     ASSERT_EQ(e.uses.size(), 1u);
     EXPECT_FALSE(e.shareable);
@@ -69,9 +70,9 @@ TEST_F(CandidatePoolTest, OverlappingPathsDeduplicateStructurally) {
 
   // Company.divs.name is levels [3,4] of the full path, [2,3] of the audit
   // path and [1,2] of the standalone division path: one entry, three uses.
-  const int e_full = pool.EntryFor(0, Subpath{3, 4}, IndexOrg::kMX);
-  const int e_audit = pool.EntryFor(1, Subpath{2, 3}, IndexOrg::kMX);
-  const int e_div = pool.EntryFor(2, Subpath{1, 2}, IndexOrg::kMX);
+  const int e_full = pool.EntryFor(0, Subpath{3, 4}, IndexOrg::kMIX);
+  const int e_audit = pool.EntryFor(1, Subpath{2, 3}, IndexOrg::kMIX);
+  const int e_div = pool.EntryFor(2, Subpath{1, 2}, IndexOrg::kMIX);
   EXPECT_EQ(e_full, e_audit);
   EXPECT_EQ(e_full, e_div);
   const CandidateEntry& entry =
@@ -86,6 +87,54 @@ TEST_F(CandidatePoolTest, OverlappingPathsDeduplicateStructurally) {
   EXPECT_NE(e_full, pool.EntryFor(0, Subpath{3, 4}, IndexOrg::kNIX));
   // The retrieval benefit is path-specific, per use.
   EXPECT_NE(entry.uses[0].query_prefix, entry.uses[2].query_prefix);
+}
+
+TEST_F(CandidatePoolTest, OverlappingPathsShareOnePerLevelMxEntry) {
+  const CandidatePool pool =
+      CandidatePool::Build(setup_.schema, setup_.catalog,
+                           {full_, audit_, divisions_})
+          .value();
+  // Company.divs under MX is level 3 of the full path, level 2 of the audit
+  // path and level 1 of the division path: one simple index, three uses.
+  const int e_full = pool.EntryFor(0, Subpath{3, 3}, IndexOrg::kMX);
+  ASSERT_GE(e_full, 0);
+  EXPECT_EQ(pool.EntryFor(1, Subpath{2, 2}, IndexOrg::kMX), e_full);
+  EXPECT_EQ(pool.EntryFor(2, Subpath{1, 1}, IndexOrg::kMX), e_full);
+  const CandidateEntry& entry =
+      pool.entries()[static_cast<std::size_t>(e_full)];
+  EXPECT_TRUE(entry.shareable);
+  EXPECT_EQ(entry.uses.size(), 3u);
+  EXPECT_EQ(entry.label, "Company.divs (MX)");
+}
+
+TEST_F(CandidatePoolTest, NoMxOrNoneEntrySpansTwoLevels) {
+  AdvisorOptions options;
+  options.orgs = {IndexOrg::kMX,  IndexOrg::kMIX, IndexOrg::kNIX,
+                  IndexOrg::kNX,  IndexOrg::kPX,  IndexOrg::kNone};
+  const CandidatePool pool =
+      CandidatePool::Build(setup_.schema, setup_.catalog,
+                           {full_, audit_, divisions_}, options)
+          .value();
+  for (const CandidateEntry& e : pool.entries()) {
+    if (e.key.org == IndexOrg::kMX || e.key.org == IndexOrg::kNone) {
+      EXPECT_EQ(e.key.classes.size(), 1u) << e.label;
+      for (const CandidateUse& use : e.uses) {
+        EXPECT_EQ(use.subpath.length(), 1) << e.label;
+      }
+    }
+  }
+  // A multi-level MX or NONE block has no entry: its per-level split does.
+  for (int p = 0; p < pool.num_paths(); ++p) {
+    for (const Subpath& sp : EnumerateSubpaths(pool.path_length(p))) {
+      for (const IndexOrg org : options.orgs) {
+        const bool per_level_only =
+            org == IndexOrg::kMX || org == IndexOrg::kNone;
+        EXPECT_EQ(pool.EntryFor(p, sp, org) < 0,
+                  per_level_only && sp.length() > 1)
+            << "path " << p << " " << ToString(sp) << " " << ToString(org);
+      }
+    }
+  }
 }
 
 TEST_F(CandidatePoolTest, SubclassTypedPathsStayDistinct) {
@@ -125,6 +174,7 @@ TEST_F(CandidatePoolTest, UsesMatchDirectCostModelEvaluation) {
   for (const Subpath& sp : EnumerateSubpaths(4)) {
     for (const IndexOrg org :
          {IndexOrg::kMX, IndexOrg::kMIX, IndexOrg::kNIX}) {
+      if (pool.EntryFor(0, sp, org) < 0) continue;  // multi-level MX
       const CandidateUse& use = pool.UseFor(0, sp, org);
       const SubpathCost direct =
           ComputeSubpathCost(ctx, sp.start, sp.end, org);
@@ -145,9 +195,9 @@ TEST_F(CandidatePoolTest, LabelsRenderButDoNotKey) {
       CandidatePool::Build(setup_.schema, setup_.catalog,
                            {full_, divisions_})
           .value();
-  const int entry = pool.EntryFor(0, Subpath{3, 4}, IndexOrg::kMX);
+  const int entry = pool.EntryFor(0, Subpath{3, 4}, IndexOrg::kMIX);
   EXPECT_EQ(pool.entries()[static_cast<std::size_t>(entry)].label,
-            "Company.divs.name (MX)");
+            "Company.divs.name (MIX)");
 }
 
 }  // namespace

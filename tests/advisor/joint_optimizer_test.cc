@@ -67,8 +67,8 @@ TEST_F(JointOptimizerTest, AcceptanceJointLeqGreedyLeqIndependent) {
       AdviseWorkload(setup_.schema, setup_.catalog, paths_).value();
   EXPECT_LE(rec.total_cost_joint, rec.total_cost_greedy + 1e-9);
   EXPECT_LE(rec.total_cost_greedy, rec.total_cost_independent + 1e-9);
-  // On this workload the joint optimum strictly beats the greedy merge: the
-  // merge keeps per-path optima that disagree on the shared tail's org.
+  // On this workload the joint optimum strictly beats the greedy seed: the
+  // seed keeps per-path optima that disagree on the shared tail's org.
   EXPECT_LT(rec.total_cost_joint, rec.total_cost_greedy - 1e-6);
   // Every path still gets a valid configuration.
   for (std::size_t i = 0; i < paths_.size(); ++i) {
@@ -192,6 +192,51 @@ TEST_F(JointOptimizerTest, ZeroBudgetWithNoneDegradesToScans) {
   }
 }
 
+TEST_F(JointOptimizerTest, MxOnlyUnderABindingBudgetIsAClearError) {
+  // Only the one-level rows have an MX entry: every configuration is the
+  // per-level MX split, and none fits a one-byte budget.
+  AdvisorOptions options;
+  options.orgs = {IndexOrg::kMX};
+  const CandidatePool pool =
+      CandidatePool::Build(setup_.schema, setup_.catalog, paths_, options)
+          .value();
+  JointOptions opts;
+  opts.storage_budget_bytes = 1;
+  const Result<JointSelectionResult> r = SelectJointConfiguration(pool, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(r.status().message().find("storage budget"), std::string::npos);
+  // Without the budget the split is the one configuration per path.
+  const JointSelectionResult free_solve =
+      SelectJointConfiguration(pool).value();
+  EXPECT_EQ(free_solve.configs_enumerated, 3);
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    EXPECT_EQ(free_solve.per_path[i].config.parts().size(),
+              static_cast<std::size_t>(paths_[i].path.length()));
+  }
+}
+
+TEST_F(JointOptimizerTest, MxAndNoneWithoutBudgetMatchesExhaustive) {
+  AdvisorOptions options;
+  options.orgs = {IndexOrg::kMX, IndexOrg::kNone};
+  const CandidatePool pool =
+      CandidatePool::Build(setup_.schema, setup_.catalog, paths_, options)
+          .value();
+  JointOptions ex_opts;
+  ex_opts.algorithm = JointOptions::Algorithm::kExhaustive;
+  const Result<JointSelectionResult> bb = SelectJointConfiguration(pool);
+  ASSERT_TRUE(bb.ok()) << bb.status().ToString();
+  const JointSelectionResult ex =
+      SelectJointConfiguration(pool, ex_opts).value();
+  EXPECT_NEAR(bb.value().total_cost, ex.total_cost, 1e-9);
+  EXPECT_NEAR(bb.value().total_cost, RecomputeTotal(pool, bb.value()), 1e-9);
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    for (const IndexedSubpath& part : bb.value().per_path[i].config.parts()) {
+      EXPECT_EQ(part.subpath.length(), 1);
+    }
+  }
+}
+
 TEST_F(JointOptimizerTest, IdenticalPathsPayMaintenanceOnce) {
   const std::vector<PathWorkload> twins = {paths_[0], paths_[0]};
   const CandidatePool pool =
@@ -247,11 +292,13 @@ TEST(JointOptimizerCapTest, PathPastTheCapFailsBeforeEnumerating) {
     EXPECT_NE(r.status().message().find(count), std::string::npos)
         << r.status().ToString();
   };
-  // Under a budget every block keeps all three organizations:
-  // 3 * 4^9 = 786432 configurations at n = 10.
+  // Under a budget a one-level block keeps all three organizations and a
+  // longer one MIX and NIX: 1542841 configurations at n = 11 (413403 at
+  // n = 10, inside the cap).
   JointOptions budgeted;
   budgeted.storage_budget_bytes = 1e12;
-  expect_over_cap(SelectJointConfiguration(ChainPool(9), budgeted), "786432");
+  expect_over_cap(SelectJointConfiguration(ChainPool(10), budgeted),
+                  "1542841");
   // Without one, each block keeps its cheapest: 2^19 = 524288 at n = 20.
   expect_over_cap(SelectJointConfiguration(ChainPool(19)), "524288");
   // 2^8 = 256 at n = 9 is well inside the cap.

@@ -11,9 +11,10 @@
 /// \brief Randomized-workload properties of the joint optimizer (the
 /// companion of tests/core/optimizer_property_test.cc one layer up):
 ///
-///  - joint <= greedy <= independent on any workload of overlapping paths
-///    (the greedy merge can only remove duplicated maintenance; the joint
-///    optimizer searches a superset of the greedy's solutions);
+///  - joint <= greedy <= independent on any unbudgeted workload of
+///    overlapping paths (the greedy seed's sharing can only remove
+///    duplicated maintenance; the joint optimizer searches a superset of
+///    the seed's solutions), and the reported greedy total is the seed's;
 ///  - branch-and-bound and exhaustive enumeration agree on the optimal
 ///    total (exhaustive is ground truth);
 ///  - the reported total matches re-derived shared accounting, and every
@@ -84,23 +85,29 @@ RandomWorkload MakeRandomWorkload(std::uint32_t seed, int depth,
 }
 
 TEST(JointPropertyTest, JointLeqGreedyLeqIndependent) {
-  for (std::uint32_t seed = 1; seed <= 15; ++seed) {
-    const RandomWorkload w = MakeRandomWorkload(seed, /*depth=*/3,
-                                                /*num_paths=*/3);
-    const Result<WorkloadRecommendation> rec =
-        AdviseWorkload(w.schema, w.catalog, w.paths);
-    ASSERT_TRUE(rec.ok()) << "seed=" << seed << ": "
-                          << rec.status().ToString();
-    const WorkloadRecommendation& r = rec.value();
-    EXPECT_LE(r.total_cost_joint, r.total_cost_greedy + 1e-7)
-        << "seed=" << seed;
-    EXPECT_LE(r.total_cost_greedy, r.total_cost_independent + 1e-7)
-        << "seed=" << seed;
-    for (std::size_t i = 0; i < w.paths.size(); ++i) {
-      EXPECT_TRUE(r.joint.per_path[i]
-                      .config.Validate(w.paths[i].path.length())
-                      .ok())
-          << "seed=" << seed << " path=" << i;
+  AdvisorOptions with_none;
+  with_none.orgs = {IndexOrg::kMX, IndexOrg::kMIX, IndexOrg::kNIX,
+                    IndexOrg::kNone};
+  for (const AdvisorOptions& options : {AdvisorOptions{}, with_none}) {
+    for (std::uint32_t seed = 1; seed <= 15; ++seed) {
+      const RandomWorkload w = MakeRandomWorkload(seed, /*depth=*/3,
+                                                  /*num_paths=*/3);
+      const Result<WorkloadRecommendation> rec =
+          AdviseWorkload(w.schema, w.catalog, w.paths, options);
+      ASSERT_TRUE(rec.ok()) << "seed=" << seed << ": "
+                            << rec.status().ToString();
+      const WorkloadRecommendation& r = rec.value();
+      EXPECT_EQ(r.total_cost_greedy, r.joint.greedy_cost) << "seed=" << seed;
+      EXPECT_LE(r.total_cost_joint, r.total_cost_greedy + 1e-7)
+          << "seed=" << seed;
+      EXPECT_LE(r.total_cost_greedy, r.total_cost_independent + 1e-7)
+          << "seed=" << seed;
+      for (std::size_t i = 0; i < w.paths.size(); ++i) {
+        EXPECT_TRUE(r.joint.per_path[i]
+                        .config.Validate(w.paths[i].path.length())
+                        .ok())
+            << "seed=" << seed << " path=" << i;
+      }
     }
   }
 }

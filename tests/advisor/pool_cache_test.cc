@@ -103,6 +103,12 @@ TEST_F(PoolCacheTest, MatchesUncachedCostMatrixAcrossRandomLoads) {
     const CostMatrix matrix = CostMatrix::Build(ctx, kAllOrgs);
     for (const Subpath& sp : matrix.subpaths()) {
       for (IndexOrg org : kAllOrgs) {
+        // MX and NONE are pool candidates per level only.
+        if ((org == IndexOrg::kMX || org == IndexOrg::kNone) &&
+            sp.length() > 1) {
+          EXPECT_EQ(pool.value().EntryFor(0, sp, org), -1);
+          continue;
+        }
         EXPECT_EQ(pool.value().UseFor(0, sp, org).breakdown.total(),
                   matrix.Cost(sp, org))
             << "seed " << seed << " " << ToString(sp) << " " << ToString(org);

@@ -54,14 +54,9 @@ TEST_F(Example51Test, BranchAndBoundExploresFewerThanExhaustive) {
   // Paper: 4 configurations explored instead of all 8.
   EXPECT_LT(rec_->result.evaluated, 8);
   EXPECT_GT(rec_->result.pruned, 0);
-  AdvisorOptions opts;
-  opts.use_branch_and_bound = false;
-  const Recommendation ex =
-      AdviseIndexConfiguration(setup_.schema, setup_.path, setup_.catalog,
-                               setup_.load, opts)
-          .value();
-  EXPECT_EQ(ex.result.evaluated, 8);
-  EXPECT_DOUBLE_EQ(ex.result.cost, rec_->result.cost);
+  const OptimizeResult ex = SelectExhaustive(rec_->matrix);
+  EXPECT_EQ(ex.evaluated, 8);
+  EXPECT_DOUBLE_EQ(ex.cost, rec_->result.cost);
 }
 
 TEST_F(Example51Test, PartCostsCoverTheConfiguration) {

@@ -199,6 +199,19 @@ TEST(SpecParserTest, DuplicateOrgsRejectedWithLineNumber) {
             std::string::npos);
 }
 
+TEST(SpecParserTest, RepeatedOrganizationRejectedWithLineNumber) {
+  // A repeat would be a second column over one pool entry: every joint
+  // configuration enumerated twice.
+  const char* bad =
+      "class A 10 10 1\nattr A n string\npath A n\norgs MX MIX MX NIX\n";
+  Result<WorkloadSpec> spec = ParseWorkloadSpec(bad);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().message().find("line 4"), std::string::npos);
+  EXPECT_NE(spec.status().message().find("duplicate organization 'MX'"),
+            std::string::npos)
+      << spec.status().message();
+}
+
 TEST(SpecParserTest, BudgetRejectedInSinglePathMode) {
   const char* bad =
       "class A 10 10 1\nattr A n string\npath A n\nbudget 1000\n";
