@@ -20,18 +20,29 @@
 ///
 /// Lock ordering. The engine's mutex hierarchy is strictly leaf-ward:
 ///
-///   SimDatabase commit mutex  >  controller check mutex
+///   controller check mutex  >  SimDatabase commit mutex
 ///     >  PhysicalPartRegistry  >  PhysicalPart latch  >  ObjectStore
 ///                                                     >  Pager cells
+///   controller check mutex  >  WorkloadMonitor mutex  >  monitor batches
 ///
 /// i.e. the Pager's tally cells are leaves (Note* never calls out), part
 /// latches and the ObjectStore's methods may call into the Pager, and
 /// Registry::Acquire may call into all of them while building a part. The
 /// SimDatabase commit mutex serializes configuration epoch swaps against
-/// update operations and is taken before anything else. The database's
-/// observer is an atomic pointer, not a lock, and observers run holding
-/// nothing. Never call upward (e.g. from index code back into the
-/// registry) while holding a downstream mutex.
+/// update operations; the only mutex ever held while taking it is the
+/// controller's check mutex, since a drift check commits while it holds
+/// that. The database's observer is an atomic pointer, not a lock, and
+/// observers run holding nothing. Never call upward (e.g. from index code
+/// back into the registry) while holding a downstream mutex.
+///
+/// The WorkloadMonitor's mutex is taken only by drains: the drift check's
+/// estimate reads, the exporters, and an observing thread whose batch
+/// filled. It is never held together with the commit mutex. It sits above
+/// the monitor's per-thread batch cells (common/thread_slot.h), which are
+/// leaves: an observed op locks only its own thread's cell and takes the
+/// monitor mutex, if at all, after releasing it; a drain locks every cell
+/// in index order under the monitor mutex and calls nothing while holding
+/// them.
 ///
 /// The Pager's counters live in per-thread cells (common/thread_slot.h),
 /// one leaf mutex each: a frame close or unframed touch locks only its own

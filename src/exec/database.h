@@ -86,8 +86,11 @@ class DbOpObserver {
   virtual ~DbOpObserver() = default;
 
   /// Queries report both indexed and naive evaluations; failed operations
-  /// (unknown oid, no configuration) are not reported. \p ev.path views a
-  /// string owned by the database; copy it to retain beyond the callback.
+  /// (unknown oid, no configuration) are not reported. \p ev.path views
+  /// the database's key for the path in its path map, which is never
+  /// erased: the view stays valid for the database's lifetime, so an
+  /// observer may keep it past the callback (the WorkloadMonitor batches
+  /// it until its next drain) but not past the database.
   virtual void OnOperation(const DbOpEvent& ev) = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <set>
@@ -163,7 +164,8 @@ class ScopedAnalyzer {
 
 /// \brief The decision ledger's append-only ring: keeps the newest
 /// \p max_events entries (all when 0), counts what it evicted, and
-/// remembers the all-time committed total.
+/// remembers the all-time committed total. Eviction pops the front of a
+/// deque, so it costs O(1) and leaves the retained entries where they are.
 template <typename Event>
 class BoundedEventLog {
  public:
@@ -172,23 +174,21 @@ class BoundedEventLog {
   void Append(Event event) {
     ++committed_;
     events_.push_back(std::move(event));
-    if (max_ > 0 && events_.size() > max_) {
-      const auto excess =
-          static_cast<std::ptrdiff_t>(events_.size() - max_);
-      events_.erase(events_.begin(), events_.begin() + excess);
-      evicted_ += static_cast<std::uint64_t>(excess);
+    while (max_ > 0 && events_.size() > max_) {
+      events_.pop_front();
+      ++evicted_;
     }
   }
 
   /// The retained suffix (newest committed() - evicted() events, in order).
-  const std::vector<Event>& events() const { return events_; }
+  const std::deque<Event>& events() const { return events_; }
   /// All-time appends, evicted or not.
   std::uint64_t committed() const { return committed_; }
   std::uint64_t evicted() const { return evicted_; }
 
  private:
   std::size_t max_;
-  std::vector<Event> events_;
+  std::deque<Event> events_;
   std::uint64_t committed_ = 0;
   std::uint64_t evicted_ = 0;
 };
@@ -200,14 +200,16 @@ class BoundedEventLog {
 /// transition_pages_charged() so experiment totals can include it.
 ///
 /// Thread safety: OnOperation may fire from any number of serving threads
-/// concurrently. The monitor absorbs every observation (internally
-/// synchronized); a due drift check is claimed by exactly one thread via a
-/// non-blocking TryLock on the check mutex — everyone else skips past
-/// without waiting or double-checking — with a relaxed next-check hint
-/// keeping the fast path at one atomic load. The commit runs while the
-/// other threads keep serving: in-flight queries finish on the old
-/// configuration epochs (SimDatabase's epoch swap). The inspection
-/// accessors (decisions(), monitor(), ...) are for quiescent
+/// concurrently. The monitor absorbs every observation without a shared
+/// lock: one atomic op index plus an append to the thread's own batch
+/// (online/workload_monitor.h); the batches are folded, in op order, by
+/// the drift check's estimate reads. A due drift check is claimed by
+/// exactly one thread via a non-blocking TryLock on the check mutex —
+/// everyone else skips past without waiting or double-checking — with a
+/// relaxed next-check hint keeping the fast path at one atomic load. The
+/// commit runs while the other threads keep serving: in-flight queries
+/// finish on the old configuration epochs (SimDatabase's epoch swap). The
+/// inspection accessors (decisions(), monitor(), ...) are for quiescent
 /// use: call them when no serving thread is driving operations, or accept
 /// a racy read.
 class JointReconfigurationController : public DbOpObserver {
@@ -236,7 +238,7 @@ class JointReconfigurationController : public DbOpObserver {
   /// The retained decision ledger: one record per drift check (the newest
   /// ControllerOptions::max_decision_log records; everything when 0). An
   /// install or switch record is the committed reconfiguration itself.
-  const std::vector<DecisionRecord>& decisions() const {
+  const std::deque<DecisionRecord>& decisions() const {
     return decisions_.events();
   }
   /// All-time decision records captured (eviction-proof).

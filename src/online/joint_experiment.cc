@@ -270,22 +270,6 @@ Status AppendMeasuredVsModeled(
 
 }  // namespace
 
-Result<OptimizeResult> OfflineOptimum(const SimDatabase& db, const Path& path,
-                                      const std::vector<IndexOrg>& orgs,
-                                      const LoadDistribution& load,
-                                      const PhysicalParams& physical_params) {
-  // Statistics exactly as the controller's ANALYZE collects them, so the
-  // convergence comparison is apples to apples.
-  PhysicalParams params = physical_params;
-  params.page_size = static_cast<double>(db.pager().page_size());
-  const Catalog catalog =
-      CollectStatistics(db.store(), db.schema(), path, params);
-  Result<PathContext> ctx =
-      PathContext::Build(db.schema(), path, catalog, load);
-  if (!ctx.ok()) return ctx.status();
-  return SelectDP(CostMatrix::Build(ctx.value(), orgs));
-}
-
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages) {

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/optimizer.h"
+#include "core/index_config.h"
 #include "online/joint_controller.h"
 #include "online/trace.h"
 
@@ -193,14 +193,5 @@ struct JointExperimentReport {
 Result<JointExperimentReport> RunJointOnlineExperiment(
     const TraceSpec& spec, const ControllerOptions& options,
     std::size_t buffer_pages = 0);
-
-/// The offline optimum (O(n^2) DP on the full cost matrix) for \p load on
-/// statistics collected live from \p db, under \p physical_params (the
-/// page size is always taken from the database's pager). Exposed for tests
-/// comparing the online controller's convergence point against the offline
-/// pick.
-Result<OptimizeResult> OfflineOptimum(
-    const SimDatabase& db, const Path& path, const std::vector<IndexOrg>& orgs,
-    const LoadDistribution& load, const PhysicalParams& physical_params = {});
 
 }  // namespace pathix

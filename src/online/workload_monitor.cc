@@ -1,5 +1,6 @@
 #include "online/workload_monitor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <string_view>
@@ -26,46 +27,79 @@ typename Map::mapped_type& At(Map& map, std::string_view key) {
 WorkloadMonitor::WorkloadMonitor(double half_life_ops)
     : decay_(half_life_ops > 0 ? std::exp2(-1.0 / half_life_ops) : 1.0) {}
 
-void WorkloadMonitor::FoldTo(Entry* e, std::uint64_t now) const {
-  if (e->as_of == now) return;
-  e->count *= std::pow(decay_, static_cast<double>(now - e->as_of));
-  e->as_of = now;
+double WorkloadMonitor::Folded(const Entry& e) const {
+  return e.count * std::pow(decay_, static_cast<double>(now_ - e.as_of));
 }
 
-double WorkloadMonitor::Folded(const Entry& e) const {
-  return e.count * std::pow(decay_, static_cast<double>(ops_ - e.as_of));
+void WorkloadMonitor::Add(Entry* e, std::uint64_t index,
+                          double weight) const {
+  if (index < e->as_of) {
+    e->count +=
+        weight * std::pow(decay_, static_cast<double>(e->as_of - index));
+    return;
+  }
+  if (e->as_of != index) {
+    e->count *= std::pow(decay_, static_cast<double>(index - e->as_of));
+    e->as_of = index;
+  }
+  e->count += weight;
 }
 
 std::uint64_t WorkloadMonitor::Observe(const DbOpEvent& ev) {
-  MutexLock lock(&mu_);
-  ++ops_;
-  if (ev.kind == DbOpKind::kQuery && ev.naive) {
-    Entry* pages = &At(naive_pages_, ev.path);
-    FoldTo(pages, ops_);
-    // Cold-model touches (hits included): the selection signal must price
-    // the workload identically at every buffer capacity, or a warm pool
-    // would talk the controller out of ever indexing.
-    pages->count += static_cast<double>(ev.pages.logical_total());
+  const std::uint64_t index =
+      ops_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const Pending record{index, ev.path, ev.pages.logical_total(), ev.cls,
+                       ev.kind, ev.kind == DbOpKind::kQuery && ev.naive};
+  bool full = false;
+  batches_.Local([&](std::vector<Pending>& batch) {
+    batch.push_back(record);
+    full = batch.size() >= kMonitorBatchCap;
+  });
+  if (full) {
+    MutexLock lock(&mu_);
+    Drain();
   }
-  Entry* entry = nullptr;
-  switch (ev.kind) {
-    case DbOpKind::kQuery:
-      entry = &At(queries_, ev.path)[ev.cls];
-      break;
-    case DbOpKind::kInsert:
-      entry = &inserts_[ev.cls];
-      break;
-    case DbOpKind::kDelete:
-      entry = &deletes_[ev.cls];
-      break;
+  return index;
+}
+
+void WorkloadMonitor::Drain() const {
+  std::vector<Pending>& drained = drained_;
+  batches_.ForEach([&drained](std::vector<Pending>& batch) {
+    drained.insert(drained.end(), batch.begin(), batch.end());
+    batch.clear();
+  });
+  std::sort(drained.begin(), drained.end(),
+            [](const Pending& a, const Pending& b) {
+              return a.index < b.index;
+            });
+  for (const Pending& p : drained) {
+    if (p.naive) {
+      // Cold-model touches (hits included): the selection signal must price
+      // the workload identically at every buffer capacity, or a warm pool
+      // would talk the controller out of ever indexing.
+      Add(&At(naive_pages_, p.path), p.index, static_cast<double>(p.pages));
+    }
+    switch (p.kind) {
+      case DbOpKind::kQuery:
+        Add(&At(queries_, p.path)[p.cls], p.index, 1);
+        break;
+      case DbOpKind::kInsert:
+        Add(&inserts_[p.cls], p.index, 1);
+        break;
+      case DbOpKind::kDelete:
+        Add(&deletes_[p.cls], p.index, 1);
+        break;
+    }
   }
-  FoldTo(entry, ops_);
-  entry->count += 1;
-  return ops_;
+  drained.clear();
+  // Read after the folds: every index just folded was drawn before its
+  // record was appended, so none exceeds now_.
+  now_ = ops_.load(std::memory_order_relaxed);
 }
 
 double WorkloadMonitor::DecayedTotal() const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
+  Drain();
   return DecayedTotalLocked();
 }
 
@@ -90,7 +124,8 @@ double WorkloadMonitor::DecayedTotalLocked() const {
 }
 
 LoadDistribution WorkloadMonitor::EstimatedLoad() const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
+  Drain();
   LoadDistribution load;
   const double total = DecayedTotalLocked();
   if (total <= 0) return load;
@@ -109,7 +144,8 @@ LoadDistribution WorkloadMonitor::EstimatedLoad() const {
 
 LoadDistribution WorkloadMonitor::EstimatedLoadFor(
     const PathId& path, const std::set<ClassId>& scope) const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
+  Drain();
   LoadDistribution load;
   const double total = DecayedTotalLocked();
   if (total <= 0) return load;
@@ -131,7 +167,8 @@ LoadDistribution WorkloadMonitor::EstimatedLoadFor(
 }
 
 double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp(const PathId& path) const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
+  Drain();
   const double total = DecayedTotalLocked();
   if (total <= 0) return 0;
   const auto it = naive_pages_.find(path);
@@ -139,7 +176,8 @@ double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp(const PathId& path) const {
 }
 
 double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp() const {
-  ReaderMutexLock lock(&mu_);
+  MutexLock lock(&mu_);
+  Drain();
   const double total = DecayedTotalLocked();
   if (total <= 0) return 0;
   double pages = 0;
@@ -156,9 +194,10 @@ void WorkloadMonitor::ExportMetrics(obs::MetricsRegistry* registry) const {
   std::map<PathId, double> query_weight;
   std::map<PathId, double> naive_pages;
   {
-    ReaderMutexLock lock(&mu_);
+    MutexLock lock(&mu_);
+    Drain();
     total = DecayedTotalLocked();
-    ops = ops_;
+    ops = now_;
     for (const auto& [path, by_class] : queries_) {
       double weight = 0;
       for (const auto& [cls, e] : by_class) {
@@ -186,7 +225,9 @@ void WorkloadMonitor::ExportMetrics(obs::MetricsRegistry* registry) const {
 
 void WorkloadMonitor::Reset() {
   MutexLock lock(&mu_);
-  ops_ = 0;
+  batches_.ForEach([](std::vector<Pending>& batch) { batch.clear(); });
+  ops_.store(0, std::memory_order_relaxed);
+  now_ = 0;
   queries_.clear();
   inserts_.clear();
   deletes_.clear();

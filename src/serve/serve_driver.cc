@@ -104,7 +104,7 @@ ServePhaseReport ServeDriver::RunPhase(
   // older than its window is counted but not copied.
   report.decisions_captured =
       controller->decisions_committed() - decisions_before;
-  const std::vector<DecisionRecord>& ledger = controller->decisions();
+  const auto& ledger = controller->decisions();
   const std::uint64_t retained_start =
       controller->decisions_committed() -
       static_cast<std::uint64_t>(ledger.size());

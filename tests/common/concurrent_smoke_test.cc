@@ -10,12 +10,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "datagen/generator.h"
@@ -380,6 +383,100 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
   std::sort(all.begin(), all.end());
   ASSERT_EQ(all.size(), kThreads * kOpsPerThread);
   for (std::size_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i + 1);
+}
+
+// Four threads observe mixed events on shared entries while a fifth keeps
+// draining through the estimate reads, so records arrive late and batches
+// fill and drain on the observers' own threads. The result must be the
+// one-thread fold of the same events in op-index order: exact without
+// decay, and within rounding with it (a late record is decayed by its own
+// age instead of being folded in sequence).
+void ExpectMonitorMatchesSortedReplay(double half_life_ops,
+                                      double tolerance) {
+  constexpr std::uint64_t kOpsPerThread = 3000;
+  const std::set<ClassId> scope{0, 1, 2};
+  WorkloadMonitor monitor(half_life_ops);
+  std::vector<std::vector<std::pair<std::uint64_t, DbOpEvent>>> seen(
+      kThreads);
+  std::atomic<int> observing{kThreads};
+  std::atomic<int> ready{0};
+  std::thread reader([&] {
+    while (observing.load() > 0) {
+      (void)monitor.DecayedTotal();
+      (void)monitor.EstimatedLoadFor("p", scope);
+      (void)monitor.MeasuredNaiveQueryPagesPerOp("q");
+    }
+  });
+  RunInParallel(kThreads, [&](int t) {
+    // Start together, so the observers overlap until the end: late records
+    // near the end are the ones the decayed comparison can see.
+    ready.fetch_add(1);
+    while (ready.load() < kThreads) std::this_thread::yield();
+    for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
+      const auto cls =
+          static_cast<ClassId>((i + static_cast<std::uint64_t>(t)) % 3);
+      const AccessStats pages{10 + i % 7, i % 3, 0};
+      DbOpEvent ev{DbOpKind::kQuery, cls, i % 2 == 0 ? "p" : "q",
+                   i % 5 == 0, pages};
+      if (i % 4 == 3) ev = {DbOpKind::kInsert, cls, {}, false, pages};
+      if (i % 8 == 7) ev = {DbOpKind::kDelete, cls, {}, false, pages};
+      seen[static_cast<std::size_t>(t)].emplace_back(monitor.Observe(ev), ev);
+    }
+    observing.fetch_sub(1);
+  });
+  reader.join();
+
+  std::vector<std::pair<std::uint64_t, DbOpEvent>> all;
+  for (const auto& mine : seen) {
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  WorkloadMonitor replay(half_life_ops);
+  for (const auto& [index, ev] : all) ASSERT_EQ(replay.Observe(ev), index);
+
+  const auto expect_close = [tolerance](double got, double want) {
+    EXPECT_NEAR(got, want, tolerance * std::abs(want)) << want;
+  };
+  expect_close(monitor.DecayedTotal(), replay.DecayedTotal());
+  expect_close(monitor.MeasuredNaiveQueryPagesPerOp(),
+               replay.MeasuredNaiveQueryPagesPerOp());
+  for (const char* path : {"p", "q"}) {
+    expect_close(monitor.MeasuredNaiveQueryPagesPerOp(path),
+                 replay.MeasuredNaiveQueryPagesPerOp(path));
+    const LoadDistribution got = monitor.EstimatedLoadFor(path, scope);
+    const LoadDistribution want = replay.EstimatedLoadFor(path, scope);
+    for (ClassId cls : scope) {
+      expect_close(got.Get(cls).query, want.Get(cls).query);
+      expect_close(got.Get(cls).insert, want.Get(cls).insert);
+      expect_close(got.Get(cls).del, want.Get(cls).del);
+    }
+  }
+  const LoadDistribution got = monitor.EstimatedLoad();
+  const LoadDistribution want = replay.EstimatedLoad();
+  for (ClassId cls : scope) {
+    expect_close(got.Get(cls).query, want.Get(cls).query);
+  }
+}
+
+// A round without a late record near its end cannot tell a wrong late
+// fold from a right one, so the decayed case runs several rounds.
+constexpr int kMonitorReplayRounds = 4;
+
+TEST(ConcurrentSmokeTest, WorkloadMonitorMatchesItsSortedReplayWithoutDecay) {
+  for (int round = 0; round < kMonitorReplayRounds; ++round) {
+    SCOPED_TRACE(round);
+    ExpectMonitorMatchesSortedReplay(/*half_life_ops=*/0, /*tolerance=*/0);
+  }
+}
+
+TEST(ConcurrentSmokeTest, WorkloadMonitorMatchesItsSortedReplayWithDecay) {
+  for (int round = 0; round < kMonitorReplayRounds; ++round) {
+    SCOPED_TRACE(round);
+    ExpectMonitorMatchesSortedReplay(/*half_life_ops=*/256,
+                                     /*tolerance=*/1e-12);
+  }
 }
 
 TEST(ConcurrentSmokeTest, MetricsRegistryFromManyThreads) {

@@ -175,7 +175,7 @@ TEST(ControllerTest, EscapesAHandInstalledForeignOrgConfiguration) {
   }
   inst.db.SetObserver(nullptr);
   CheckOk(controller.status());
-  const std::vector<DecisionRecord>& ledger = controller.decisions();
+  const auto& ledger = controller.decisions();
   const auto first_commit =
       std::find_if(ledger.begin(), ledger.end(), [](const DecisionRecord& r) {
         return r.verdict != "hold";

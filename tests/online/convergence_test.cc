@@ -4,11 +4,32 @@
 
 #include <gtest/gtest.h>
 
-#include "online/joint_experiment.h"
+#include <vector>
+
+#include "core/optimizer.h"
+#include "exec/analyze.h"
+#include "online/joint_controller.h"
 #include "serve/serve_driver.h"
 
 namespace pathix {
 namespace {
+
+/// The offline optimum (O(n^2) DP on the full cost matrix) for \p load on
+/// statistics collected from \p db exactly as the controller's ANALYZE
+/// collects them (page size from the database's pager), so the convergence
+/// comparison is apples to apples.
+Result<OptimizeResult> OfflineOptimum(const SimDatabase& db, const Path& path,
+                                      const std::vector<IndexOrg>& orgs,
+                                      const LoadDistribution& load) {
+  PhysicalParams params;
+  params.page_size = static_cast<double>(db.pager().page_size());
+  const Catalog catalog =
+      CollectStatistics(db.store(), db.schema(), path, params);
+  Result<PathContext> ctx =
+      PathContext::Build(db.schema(), path, catalog, load);
+  if (!ctx.ok()) return ctx.status();
+  return SelectDP(CostMatrix::Build(ctx.value(), orgs));
+}
 
 // A stationary two-phase trace (both phases share one mix): queries w.r.t.
 // Person dominate, with a trickle of balanced churn so statistics stay put.

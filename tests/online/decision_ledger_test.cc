@@ -29,9 +29,11 @@ TraceSpec LoadDriftSpec() {
   return std::move(parsed).value();
 }
 
-/// Invariants of the controller's (unevicted) ledger.
-void CheckLedger(const std::vector<DecisionRecord>& decisions,
-                 std::uint64_t checks, std::uint64_t commits) {
+/// Invariants of the controller's (unevicted) ledger, held in any
+/// random-access range of records.
+template <typename Records>
+void CheckLedger(const Records& decisions, std::uint64_t checks,
+                 std::uint64_t commits) {
   // One record per drift check, numbered 1..N in op order.
   ASSERT_EQ(decisions.size(), checks);
   std::uint64_t commit_verdicts = 0;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "online/joint_controller.h"
@@ -39,6 +40,23 @@ TEST(BoundedEventLogTest, CommittedMinusEvictedIsRetained) {
     log.Append(i);
     EXPECT_EQ(log.committed() - log.evicted(), log.events().size());
   }
+}
+
+TEST(BoundedEventLogTest, EvictionLeavesRetainedEventsInPlace) {
+  // A full ring evicts by dropping its oldest entry only: the retained
+  // entries are neither moved nor copied, whatever their size.
+  BoundedEventLog<std::string> log(3);
+  for (char c : {'a', 'b', 'c'}) log.Append(std::string(64, c));
+  const std::string* second = &log.events()[1];
+  const std::string* third = &log.events()[2];
+  log.Append(std::string(64, 'd'));
+  EXPECT_EQ(log.evicted(), 1u);
+  ASSERT_EQ(log.events().size(), 3u);
+  EXPECT_EQ(&log.events()[0], second);
+  EXPECT_EQ(&log.events()[1], third);
+  EXPECT_EQ(log.events()[0], std::string(64, 'b'));
+  EXPECT_EQ(log.events()[1], std::string(64, 'c'));
+  EXPECT_EQ(log.events()[2], std::string(64, 'd'));
 }
 
 TEST(BoundedEventLogTest, ControllerOptionsDefaultKeepsRecentEvents) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "online/workload_monitor.h"
 
 namespace pathix {
@@ -94,6 +100,110 @@ TEST(WorkloadMonitorTest, NaivePagesDecayLikeTheCounts) {
     monitor.Observe({DbOpKind::kQuery, kA, "p", false, AccessStats{1, 0, 0}});
   }
   EXPECT_LT(monitor.MeasuredNaiveQueryPagesPerOp("p"), fresh);
+}
+
+// Queries on two paths (some naive, with pages), inserts and deletes, in
+// an order that revisits every entry at varying gaps.
+std::vector<DbOpEvent> MixedEvents(std::size_t n) {
+  std::vector<DbOpEvent> events;
+  events.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const AccessStats pages{40 + i % 13, i % 5, i % 3};
+    switch ((i * 7 + i / 11) % 8) {
+      case 0:
+      case 5:
+        events.push_back({DbOpKind::kQuery, kA, "p", false, pages});
+        break;
+      case 1:
+        events.push_back({DbOpKind::kQuery, kB, "q", false, pages});
+        break;
+      case 2:
+        events.push_back({DbOpKind::kQuery, kA, "p", true, pages});
+        break;
+      case 3:
+        events.push_back({DbOpKind::kInsert, kB, {}, false, pages});
+        break;
+      case 4:
+        events.push_back({DbOpKind::kDelete, kA, {}, false, pages});
+        break;
+      case 6:
+        events.push_back({DbOpKind::kQuery, kB, "q", true, pages});
+        break;
+      default:
+        events.push_back({DbOpKind::kInsert, kA, {}, false, pages});
+        break;
+    }
+  }
+  return events;
+}
+
+// Every estimate the monitor offers, compared bit for bit.
+void ExpectSameEstimates(const WorkloadMonitor& a, const WorkloadMonitor& b) {
+  EXPECT_EQ(a.ops_observed(), b.ops_observed());
+  EXPECT_EQ(a.DecayedTotal(), b.DecayedTotal());
+  EXPECT_EQ(a.MeasuredNaiveQueryPagesPerOp(),
+            b.MeasuredNaiveQueryPagesPerOp());
+  for (const char* path : {"p", "q"}) {
+    EXPECT_EQ(a.MeasuredNaiveQueryPagesPerOp(path),
+              b.MeasuredNaiveQueryPagesPerOp(path))
+        << path;
+  }
+  const std::set<ClassId> scope{kA, kB};
+  const LoadDistribution loads[][2] = {
+      {a.EstimatedLoad(), b.EstimatedLoad()},
+      {a.EstimatedLoadFor("p", scope), b.EstimatedLoadFor("p", scope)},
+      {a.EstimatedLoadFor("q", {kB}), b.EstimatedLoadFor("q", {kB})}};
+  for (const auto& pair : loads) {
+    for (ClassId cls : scope) {
+      EXPECT_EQ(pair[0].Get(cls).query, pair[1].Get(cls).query) << cls;
+      EXPECT_EQ(pair[0].Get(cls).insert, pair[1].Get(cls).insert) << cls;
+      EXPECT_EQ(pair[0].Get(cls).del, pair[1].Get(cls).del) << cls;
+    }
+  }
+}
+
+// Past three full batches, draining on every read or only when a batch
+// fills folds the same records in the same order: bit-identical estimates.
+TEST(WorkloadMonitorTest, EstimatesDoNotDependOnWhenReadsDrain) {
+  const std::vector<DbOpEvent> events =
+      MixedEvents(3 * kMonitorBatchCap + 17);
+  WorkloadMonitor every_op(/*half_life_ops=*/64);
+  WorkloadMonitor at_end(/*half_life_ops=*/64);
+  const std::set<ClassId> scope{kA, kB};
+  for (const DbOpEvent& ev : events) {
+    every_op.Observe(ev);
+    at_end.Observe(ev);
+    (void)every_op.DecayedTotal();
+    (void)every_op.EstimatedLoad();
+    (void)every_op.EstimatedLoadFor("p", scope);
+    (void)every_op.MeasuredNaiveQueryPagesPerOp("q");
+    (void)every_op.MeasuredNaiveQueryPagesPerOp();
+  }
+  ExpectSameEstimates(every_op, at_end);
+  EXPECT_GT(at_end.MeasuredNaiveQueryPagesPerOp("p"), 0.0);
+  EXPECT_GT(at_end.MeasuredNaiveQueryPagesPerOp("q"), 0.0);
+}
+
+// 17 threads observing one after another take 17 consecutive thread slots,
+// so the slot numbers wrap and one batch holds two threads' records while
+// the batches in between hold later ones. The drain's sort restores op
+// order: the estimates match a one-thread run bit for bit.
+TEST(WorkloadMonitorTest, WrappedThreadSlotsFoldInOpOrder) {
+  constexpr std::size_t kThreads = kThreadSlots + 1;
+  const std::vector<DbOpEvent> events =
+      MixedEvents(3 * kMonitorBatchCap + 17);
+  WorkloadMonitor one_thread(/*half_life_ops=*/64);
+  for (const DbOpEvent& ev : events) one_thread.Observe(ev);
+  WorkloadMonitor relay(/*half_life_ops=*/64);
+  const std::size_t chunk = (events.size() + kThreads - 1) / kThreads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    const std::size_t begin = std::min(events.size(), t * chunk);
+    const std::size_t end = std::min(events.size(), begin + chunk);
+    std::thread([&relay, &events, begin, end] {
+      for (std::size_t i = begin; i < end; ++i) relay.Observe(events[i]);
+    }).join();
+  }
+  ExpectSameEstimates(one_thread, relay);
 }
 
 }  // namespace
