@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "bench_json_gbench.h"
 #include "datagen/generator.h"
@@ -66,6 +68,61 @@ void BM_BTreeLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BTreeLookup)->Arg(1000)->Arg(100000);
+
+// A batched probe of ascending oid keys (one MX/MIX level, or a NIX fed by
+// the next subpath's oids) on a 100k-record tree: the sorted walk
+// (walk:1) against per-key Lookups under one BatchCharge (walk:0). Both
+// charge the same pages; items are keys.
+void BM_BTreeSortedProbe(benchmark::State& state) {
+  constexpr Oid kRecords = 100000;
+  const std::size_t batch_size = static_cast<std::size_t>(state.range(0));
+  const bool walk = state.range(1) != 0;
+  Pager pager(4096);
+  PostingTree tree(&pager, "bench");
+  for (Oid oid = 1; oid <= kRecords; ++oid) {
+    tree.UpsertUncounted(
+        Key::FromOid(oid),
+        [&] {
+          PostingRecord rec;
+          rec.key_value = Key::FromOid(oid);
+          return rec;
+        },
+        [&](PostingRecord* rec) { rec->AddOrBump(0, oid, 1); });
+  }
+  std::mt19937 rng(5);
+  std::vector<std::vector<Key>> batches(16);
+  for (std::vector<Key>& keys : batches) {
+    std::vector<Oid> oids(batch_size);
+    for (Oid& oid : oids) oid = 1 + rng() % kRecords;
+    std::sort(oids.begin(), oids.end());
+    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
+    for (Oid oid : oids) keys.push_back(Key::FromOid(oid));
+  }
+  std::size_t next = 0;
+  std::int64_t keys_probed = 0;
+  std::size_t found = 0;
+  for (auto _ : state) {
+    const std::vector<Key>& keys = batches[next++ % batches.size()];
+    if (walk) {
+      tree.LookupSorted(keys, WholeRecord{}, [&](const PostingRecord& rec) {
+        found += rec.postings.size();
+      });
+    } else {
+      BatchCharge charge;
+      for (const Key& key : keys) {
+        if (const PostingRecord* rec = tree.Lookup(key, &charge)) {
+          found += rec->postings.size();
+        }
+      }
+    }
+    benchmark::DoNotOptimize(found);
+    keys_probed += static_cast<std::int64_t>(keys.size());
+  }
+  state.SetItemsProcessed(keys_probed);
+}
+BENCHMARK(BM_BTreeSortedProbe)
+    ->ArgNames({"keys", "walk"})
+    ->ArgsProduct({{64, 512}, {0, 1}});
 
 constexpr char kPeople[] = "people";
 

@@ -8,6 +8,17 @@
 
 #include "common/thread_annotations.h"
 
+#if defined(__SANITIZE_THREAD__)
+#define PATHIX_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PATHIX_TSAN 1
+#endif
+#endif
+#ifdef PATHIX_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 /// \file mutex.h
 /// \brief The project's annotated locking primitives.
 ///
@@ -74,6 +85,14 @@ class CAPABILITY("mutex") Mutex {
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
+#ifdef PATHIX_TSAN
+  /// glibc's std::shared_mutex is statically initialized and its
+  /// destructor is trivial, so TSan would never see this lock die: a later
+  /// Mutex at the same address (say, a stack object of the next test)
+  /// would inherit its lock-order edges and report inversions between
+  /// objects that never coexisted.
+  ~Mutex() { __tsan_mutex_destroy(&impl_, 0); }
+#endif
 
   void Lock() ACQUIRE() { impl_.lock(); }
   void Unlock() RELEASE() { impl_.unlock(); }

@@ -36,12 +36,15 @@
 
 namespace pathix {
 
-/// \brief Page-charge deduplication for batched operations.
+/// \brief Page-charge deduplication for batched maintenance.
 ///
 /// Yao's formula — the cost model's backbone — charges each page once per
-/// batched access, however many records on it are touched. Batched probes
-/// and per-round maintenance pass a BatchCharge so the simulator counts the
-/// same way (sorted batch probes are standard practice in real systems).
+/// batched access, however many records on it are touched. A batched
+/// *probe* gets that charge from BTree::LookupSorted, which walks the tree
+/// once in key order and charges a page when the walk enters it; NIX
+/// maintenance, whose per-round keys arrive unsorted and mutate the tree
+/// between them, passes a BatchCharge instead so the simulator counts the
+/// same way.
 struct BatchCharge {
   std::set<PageId> reads;
   std::set<PageId> writes;
@@ -151,6 +154,15 @@ struct AuxRecord {
   }
 };
 
+/// The needed bytes of a whole-record read (BTree::LookupSorted): every
+/// chain page.
+struct WholeRecord {
+  template <typename Record>
+  std::size_t operator()(const Record& rec) const {
+    return rec.bytes();
+  }
+};
+
 /// \brief The tree.
 template <typename Record>
 class BTree {
@@ -188,24 +200,67 @@ class BTree {
   /// record's directory is inspected on its first page before the chain is
   /// followed).
   template <typename NeedFn>
-  const Record* LookupPartialFn(const Key& key, NeedFn&& needed_bytes_fn,
-                                BatchCharge* batch = nullptr) {
+  const Record* LookupPartialFn(const Key& key, NeedFn&& needed_bytes_fn) {
     PinSet pins;
-    Node* leaf = DescendCounted(key, batch, &pins);
+    Node* leaf = DescendCounted(key, nullptr, &pins);
     Record* rec = FindInLeaf(leaf, key);
-    if (rec != nullptr) {
-      const std::size_t chain = ChainPages(*rec);
-      if (chain > 0) {
-        const std::size_t needed_bytes = needed_bytes_fn(*rec);
-        const std::size_t needed = static_cast<std::size_t>(
-            CeilDiv(static_cast<double>(needed_bytes),
-                    static_cast<double>(pager_->page_size())));
-        CountChainReads(*rec,
-                        std::min(chain, std::max<std::size_t>(needed, 1)),
-                        batch);
-      }
-    }
+    if (rec != nullptr) ReadChain(*rec, needed_bytes_fn);
     return rec;
+  }
+
+  /// Sorted batch read: hands the record of every present key of \p keys
+  /// to \p visit, in key order, after reading the min(chain, needed) first
+  /// chain pages of a multi-page record (\p needed_bytes_fn as in
+  /// LookupPartialFn; WholeRecord reads the whole chain).
+  ///
+  /// \p keys must be ascending; a repeated key visits its record again and
+  /// charges nothing. The walk keeps its root-to-leaf path as a stack of
+  /// (node, exclusive upper separator), climbs only as far as the next key
+  /// needs and descends again from there. Ascending keys never re-enter a
+  /// node the walk has left, so charging and pinning a node when the walk
+  /// enters it (one PinSet per key) produces exactly the pages, pins and
+  /// buffer-pool touches, in the same order, that per-key Lookups under
+  /// one BatchCharge would: Yao's once-per-batch charge. The tree must not
+  /// change during the walk (the caller holds the part's latch).
+  template <typename NeedFn, typename Visit>
+  void LookupSorted(std::span<const Key> keys, NeedFn&& needed_bytes_fn,
+                    Visit&& visit) {
+    struct Step {
+      Node* node;
+      const Key* upper;  ///< exclusive bound of the node's keys; null: none
+    };
+    std::vector<Step> path;
+    path.reserve(16);  // deeper than page-sized nodes grow: one allocation
+    const Key* prev = nullptr;
+    for (const Key& key : keys) {
+      PATHIX_DCHECK(prev == nullptr || !(key < *prev));
+      const bool repeat = prev != nullptr && key == *prev;
+      prev = &key;
+      Record* rec = nullptr;
+      {
+        PinSet pins;
+        while (!path.empty() && path.back().upper != nullptr &&
+               !(key < *path.back().upper)) {
+          path.pop_back();
+        }
+        if (path.empty()) {
+          path.push_back(Step{root_.get(), nullptr});
+          ChargeRead(root_->page, nullptr, &pins);
+        }
+        while (!path.back().node->leaf) {
+          const Step& at = path.back();
+          const auto it =
+              std::upper_bound(at.node->seps.begin(), at.node->seps.end(), key);
+          const Key* upper = it == at.node->seps.end() ? at.upper : &*it;
+          Node* child = at.node->children[it - at.node->seps.begin()].get();
+          ChargeRead(child->page, nullptr, &pins);
+          path.push_back(Step{child, upper});
+        }
+        rec = FindInLeaf(path.back().node, key);
+        if (rec != nullptr && !repeat) ReadChain(*rec, needed_bytes_fn);
+      }
+      if (rec != nullptr) visit(*rec);
+    }
   }
 
   /// Applies \p fn to the record for \p key, creating it with \p make if
@@ -425,6 +480,19 @@ class BTree {
     auto it = LowerBound(leaf->records, key);
     if (it == leaf->records.end() || !(it->key() == key)) return nullptr;
     return &*it;
+  }
+
+  /// Charges the first min(chain, needed) pages of \p rec's overflow chain
+  /// (none for a record inside its node), needed being the pages of
+  /// \p needed_bytes_fn(rec), at least one.
+  template <typename NeedFn>
+  void ReadChain(const Record& rec, NeedFn& needed_bytes_fn) {
+    const std::size_t chain = ChainPages(rec);
+    if (chain == 0) return;
+    const std::size_t needed = static_cast<std::size_t>(
+        CeilDiv(static_cast<double>(needed_bytes_fn(rec)),
+                static_cast<double>(pager_->page_size())));
+    pager_->NoteReads(std::min(chain, std::max<std::size_t>(needed, 1)));
   }
 
   void CountChainReads(const Record& rec, std::size_t pages,

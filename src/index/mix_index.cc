@@ -1,6 +1,7 @@
 #include "index/mix_index.h"
 
 #include <algorithm>
+#include <span>
 
 namespace pathix {
 
@@ -35,25 +36,32 @@ void MIXIndex::BuildImpl(const ObjectStore& store) {
 std::vector<Oid> MIXIndex::Probe(const std::vector<Key>& keys,
                                  int target_level,
                                  const std::vector<ClassId>& target_classes) {
-  std::vector<Key> current = keys;
+  PATHIX_DCHECK(StrictlyIncreasing(keys));
+  std::span<const Key> current = keys;
+  std::vector<Key> next;
+  std::vector<Oid> oids;
   for (int l = ctx_.range.end; l >= target_level; --l) {
     const bool last = (l == target_level);
-    std::vector<Oid> oids;
-    for (const Posting& p : trees_.at(l)->LookupMany(current)) {
-      // One inherited index serves the hierarchy; the target filter picks
-      // the requested class(es) out of the grouped record.
-      if (last && std::find(target_classes.begin(), target_classes.end(),
-                            p.cls) == target_classes.end()) {
-        continue;
-      }
-      oids.push_back(p.oid);
-    }
-    std::sort(oids.begin(), oids.end());
-    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
+    oids.clear();
+    trees_.at(l)->tree().LookupSorted(
+        current, WholeRecord{}, [&](const PostingRecord& rec) {
+          for (const Posting& p : rec.postings) {
+            // One inherited index serves the hierarchy; the target filter
+            // picks the requested class(es) out of the grouped record.
+            if (last && std::find(target_classes.begin(),
+                                  target_classes.end(),
+                                  p.cls) == target_classes.end()) {
+              continue;
+            }
+            oids.push_back(p.oid);
+          }
+        });
+    SortUniqueOids(&oids);
     if (last) return oids;
-    current.clear();
-    current.reserve(oids.size());
-    for (Oid oid : oids) current.push_back(Key::FromOid(oid));
+    next.clear();
+    next.reserve(oids.size());
+    for (Oid oid : oids) next.push_back(Key::FromOid(oid));
+    current = next;
   }
   return {};
 }

@@ -1,6 +1,7 @@
 #include "index/mx_index.h"
 
 #include <algorithm>
+#include <span>
 
 namespace pathix {
 
@@ -38,10 +39,13 @@ void MXIndex::BuildImpl(const ObjectStore& store) {
 std::vector<Oid> MXIndex::Probe(const std::vector<Key>& keys,
                                 int target_level,
                                 const std::vector<ClassId>& target_classes) {
-  std::vector<Key> current = keys;
+  PATHIX_DCHECK(StrictlyIncreasing(keys));
+  std::span<const Key> current = keys;
+  std::vector<Key> next;
+  std::vector<Oid> oids;
   for (int l = ctx_.range.end; l >= target_level; --l) {
     const bool last = (l == target_level);
-    std::vector<Oid> oids;
+    oids.clear();
     for (ClassId cls : ctx_.hierarchy(l)) {
       // At the target level only the requested classes' indexes are probed
       // (CRMX evaluates a single class's index at level l; the hierarchy
@@ -50,20 +54,18 @@ std::vector<Oid> MXIndex::Probe(const std::vector<Key>& keys,
                             cls) == target_classes.end()) {
         continue;
       }
-      for (const Posting& p : trees_.at({l, cls})->LookupMany(current)) {
-        oids.push_back(p.oid);
-      }
+      // One sorted walk per class index: Yao's once-per-batch page charge.
+      trees_.at({l, cls})->tree().LookupSorted(
+          current, WholeRecord{}, [&oids](const PostingRecord& rec) {
+            for (const Posting& p : rec.postings) oids.push_back(p.oid);
+          });
     }
-    if (last) {
-      std::sort(oids.begin(), oids.end());
-      oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
-      return oids;
-    }
-    current.clear();
-    std::sort(oids.begin(), oids.end());
-    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
-    current.reserve(oids.size());
-    for (Oid oid : oids) current.push_back(Key::FromOid(oid));
+    SortUniqueOids(&oids);
+    if (last) return oids;
+    next.clear();
+    next.reserve(oids.size());
+    for (Oid oid : oids) next.push_back(Key::FromOid(oid));
+    current = next;
   }
   return {};
 }

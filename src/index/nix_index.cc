@@ -167,31 +167,33 @@ std::vector<Oid> NIXIndex::Probe(const std::vector<Key>& keys,
                                  int target_level,
                                  const std::vector<ClassId>& target_classes) {
   (void)target_level;
-  // One key's descent and chain never repeat a page, so only a batch of
-  // keys needs the charge deduplication.
-  BatchCharge batch;
-  BatchCharge* dedup = keys.size() > 1 ? &batch : nullptr;
+  PATHIX_DCHECK(StrictlyIncreasing(keys));
   std::vector<Oid> oids;
-  for (const Key& key : keys) {
-    const PostingRecord* rec = primary_.LookupPartialFn(
-        key,
-        [&](const PostingRecord& r) { return SliceBytes(r, target_classes); },
-        dedup);
-    if (rec == nullptr) continue;
+  const auto needed = [&](const PostingRecord& rec) {
+    return SliceBytes(rec, target_classes);
+  };
+  const auto append = [&](const PostingRecord& rec) {
     for (ClassId cls : target_classes) {
-      const std::span<const Posting> slice = rec->Slice(cls);
+      const std::span<const Posting> slice = rec.Slice(cls);
       const std::size_t at = oids.size();
       oids.resize(at + slice.size());
       std::transform(slice.begin(), slice.end(), oids.begin() + at,
                      [](const Posting& p) { return p.oid; });
     }
+  };
+  if (keys.size() == 1) {
+    if (const PostingRecord* rec =
+            primary_.LookupPartialFn(keys.front(), needed)) {
+      append(*rec);
+    }
+    // A single class slice of a single record is already oid-ordered and
+    // duplicate-free.
+    if (target_classes.size() > 1) SortUniqueOids(&oids);
+    return oids;
   }
-  // A single class slice of a single record is already oid-ordered and
-  // duplicate-free.
-  if (keys.size() > 1 || target_classes.size() > 1) {
-    std::sort(oids.begin(), oids.end());
-    oids.erase(std::unique(oids.begin(), oids.end()), oids.end());
-  }
+  // A batch of keys: one sorted walk, each page charged once (Yao).
+  primary_.LookupSorted(keys, needed, append);
+  SortUniqueOids(&oids);
   return oids;
 }
 

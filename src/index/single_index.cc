@@ -43,17 +43,4 @@ std::vector<Posting> AttrIndex::Lookup(const Key& key) {
   return out;
 }
 
-std::vector<Posting> AttrIndex::LookupMany(const std::vector<Key>& keys) {
-  // Batched probe: a page shared by several keys is charged once, matching
-  // Yao's accounting in the analytic model (CRT).
-  BatchCharge batch;
-  std::vector<Posting> out;
-  for (const Key& key : keys) {
-    if (const PostingRecord* rec = tree_.Lookup(key, &batch)) {
-      out.insert(out.end(), rec->postings.begin(), rec->postings.end());
-    }
-  }
-  return out;
-}
-
 }  // namespace pathix

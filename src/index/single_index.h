@@ -33,9 +33,6 @@ class AttrIndex {
   /// Counted lookup of one key's postings (empty if absent).
   std::vector<Posting> Lookup(const Key& key);
 
-  /// Counted lookup of many keys; postings are concatenated.
-  std::vector<Posting> LookupMany(const std::vector<Key>& keys);
-
   PostingTree& tree() { return tree_; }
   const PostingTree& tree() const { return tree_; }
 

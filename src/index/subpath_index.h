@@ -39,6 +39,15 @@ struct SubpathIndexContext {
   }
 };
 
+/// Sorts \p oids ascending and drops duplicates — the form Probe returns —
+/// in linear time: an LSD radix sort over the oid bits in use (a
+/// comparison sort below a few dozen oids).
+void SortUniqueOids(std::vector<Oid>* oids);
+
+/// True when \p keys are increasing and without duplicates (Probe's
+/// precondition on its keys).
+bool StrictlyIncreasing(const std::vector<Key>& keys);
+
 /// \brief A physical index on one subpath.
 ///
 /// Page traffic of Probe/On* calls is counted through the Pager. Build's
@@ -72,7 +81,8 @@ class SubpathIndex {
   /// attribute A_b (the query constant, or oids delivered by the next
   /// subpath); returns the oids of objects of \p target_classes at
   /// \p target_level that reach one of the keys, increasing and without
-  /// duplicates.
+  /// duplicates. \p keys are increasing and without duplicates too (one
+  /// constant, or the previous Probe's oids).
   virtual std::vector<Oid> Probe(const std::vector<Key>& keys,
                                  int target_level,
                                  const std::vector<ClassId>& target_classes) = 0;

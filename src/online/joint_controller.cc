@@ -113,11 +113,16 @@ bool JointReconfigurationController::Check() {
                           "controller");
   ++checks_;
 
+  // One monitor read serves the whole check: every path's load and naive
+  // price come from the same drain, so a class's shared update frequencies
+  // agree across the paths' rows and the gate prices what the record logs.
+  const MonitorSnapshot observed = monitor_.Snapshot(path_ids_, scopes_);
+
   // Every exit path of the check — hold or commit — lands this record on
   // the decision ledger, so the audit trail has no gaps.
   DecisionRecord rec;
   rec.check_number = checks_;
-  rec.op_index = monitor_.ops_observed();
+  rec.op_index = observed.op_index;
   rec.controller = "joint";
   const auto hold = [&](const char* reason) {
     rec.verdict = "hold";
@@ -134,7 +139,7 @@ bool JointReconfigurationController::Check() {
   // visible and covers fingerprint collisions).
   if (analyzer_.Refresh(*db_, paths, options_)) pool_builder_.Invalidate();
 
-  if (monitor_.DecayedTotal() <= 0) return hold("no_traffic");
+  if (observed.decayed_total <= 0) return hold("no_traffic");
 
   std::optional<obs::ObsSpan> solve_span;
   solve_span.emplace(&obs::GlobalTracer(), "joint_re_solve", "controller");
@@ -149,10 +154,10 @@ bool JointReconfigurationController::Check() {
   for (std::size_t i = 0; i < path_ids_.size(); ++i) {
     PathWorkload w;
     w.path = *paths[i];
-    w.load = monitor_.EstimatedLoadFor(path_ids_[i], scopes_[i]);
+    w.load = observed.loads[i];
     AppendLoadEntries(db_->schema(), path_ids_[i], w.load, &rec);
-    rec.naive_pages.push_back(DecisionNaivePages{
-        path_ids_[i], monitor_.MeasuredNaiveQueryPagesPerOp(path_ids_[i])});
+    rec.naive_pages.push_back(
+        DecisionNaivePages{path_ids_[i], observed.naive_pages_per_op[i]});
     Result<PathContext> ctx = PathContext::Build(db_->schema(), *paths[i],
                                                  analyzer_.catalog(), w.load);
     if (!ctx.ok()) {
@@ -288,7 +293,7 @@ bool JointReconfigurationController::Check() {
   std::map<StructuralKey, double> placed_maintain;
   for (std::size_t i = 0; i < path_ids_.size(); ++i) {
     if (!db_->has_indexes(path_ids_[i])) {
-      current_cost += monitor_.MeasuredNaiveQueryPagesPerOp(path_ids_[i]);
+      current_cost += observed.naive_pages_per_op[i];
       continue;
     }
     const IndexConfiguration& config = db_->physical(path_ids_[i]).config();

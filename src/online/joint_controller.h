@@ -203,10 +203,12 @@ class BoundedEventLog {
 /// concurrently. The monitor absorbs every observation without a shared
 /// lock: one atomic op index plus an append to the thread's own batch
 /// (online/workload_monitor.h); the batches are folded, in op order, by
-/// the drift check's estimate reads. A due drift check is claimed by
-/// exactly one thread via a non-blocking TryLock on the check mutex —
-/// everyone else skips past without waiting or double-checking — with a
-/// relaxed next-check hint keeping the fast path at one atomic load. The
+/// the drift check's one snapshot read, which every estimate of the check
+/// (loads, naive prices, the record's op index) comes from. A due drift
+/// check is claimed by exactly one thread via a non-blocking TryLock on
+/// the check mutex — everyone else skips past without waiting or
+/// double-checking — with a relaxed next-check hint keeping the fast path
+/// at one atomic load. The
 /// commit runs while the other threads keep serving: in-flight queries
 /// finish on the old configuration epochs (SimDatabase's epoch swap). The
 /// inspection accessors (decisions(), monitor(), ...) are for quiescent

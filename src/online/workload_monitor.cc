@@ -146,8 +146,13 @@ LoadDistribution WorkloadMonitor::EstimatedLoadFor(
     const PathId& path, const std::set<ClassId>& scope) const {
   MutexLock lock(&mu_);
   Drain();
+  return LoadForLocked(path, scope, DecayedTotalLocked());
+}
+
+LoadDistribution WorkloadMonitor::LoadForLocked(const PathId& path,
+                                                const std::set<ClassId>& scope,
+                                                double total) const {
   LoadDistribution load;
-  const double total = DecayedTotalLocked();
   if (total <= 0) return load;
   std::unordered_map<ClassId, OpLoad> merged;
   const auto it = queries_.find(path);
@@ -169,10 +174,34 @@ LoadDistribution WorkloadMonitor::EstimatedLoadFor(
 double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp(const PathId& path) const {
   MutexLock lock(&mu_);
   Drain();
-  const double total = DecayedTotalLocked();
+  return NaivePagesLocked(path, DecayedTotalLocked());
+}
+
+double WorkloadMonitor::NaivePagesLocked(const PathId& path,
+                                         double total) const {
   if (total <= 0) return 0;
   const auto it = naive_pages_.find(path);
   return it == naive_pages_.end() ? 0 : Folded(it->second) / total;
+}
+
+MonitorSnapshot WorkloadMonitor::Snapshot(
+    const std::vector<PathId>& paths,
+    const std::vector<std::set<ClassId>>& scopes) const {
+  PATHIX_DCHECK(scopes.size() == paths.size());
+  MutexLock lock(&mu_);
+  Drain();
+  MonitorSnapshot snap;
+  snap.op_index = now_;
+  snap.decayed_total = DecayedTotalLocked();
+  snap.loads.reserve(paths.size());
+  snap.naive_pages_per_op.reserve(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    snap.loads.push_back(
+        LoadForLocked(paths[i], scopes[i], snap.decayed_total));
+    snap.naive_pages_per_op.push_back(
+        NaivePagesLocked(paths[i], snap.decayed_total));
+  }
+  return snap;
 }
 
 double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp() const {

@@ -53,6 +53,18 @@ class MetricsRegistry;
 /// 1 MB).
 inline constexpr std::size_t kMonitorBatchCap = 512;
 
+/// One drift check's view of a WorkloadMonitor: every estimate the check
+/// reads, taken from a single drain (WorkloadMonitor::Snapshot).
+struct MonitorSnapshot {
+  /// The op count the drain folded up to: the estimates' "now".
+  std::uint64_t op_index = 0;
+  double decayed_total = 0;
+  /// Per requested path, in request order: EstimatedLoadFor and
+  /// MeasuredNaiveQueryPagesPerOp at op_index.
+  std::vector<LoadDistribution> loads;
+  std::vector<double> naive_pages_per_op;
+};
+
 /// \brief Decayed per-path per-class query counters plus per-class update
 /// counters.
 ///
@@ -118,6 +130,15 @@ class WorkloadMonitor {
   /// Decayed total weight across all paths, classes and kinds.
   double DecayedTotal() const EXCLUDES(mu_);
 
+  /// DecayedTotal, and EstimatedLoadFor(paths[i], scopes[i]) and
+  /// MeasuredNaiveQueryPagesPerOp(paths[i]) for every i, all from one
+  /// drain: under concurrent observers the separate reads drain (and so
+  /// normalize) at different op counts, while a snapshot's shared update
+  /// frequencies are the same in every path's load.
+  MonitorSnapshot Snapshot(const std::vector<PathId>& paths,
+                           const std::vector<std::set<ClassId>>& scopes) const
+      EXCLUDES(mu_);
+
   /// Op indexes handed out so far (folded or still pending).
   std::uint64_t ops_observed() const {
     return ops_.load(std::memory_order_relaxed);
@@ -164,6 +185,13 @@ class WorkloadMonitor {
   /// DecayedTotal for callers already holding mu_ (shared_mutex does not
   /// support recursive locking).
   double DecayedTotalLocked() const REQUIRES_SHARED(mu_);
+  /// EstimatedLoadFor and MeasuredNaiveQueryPagesPerOp(path) under mu_,
+  /// normalized by \p total (DecayedTotalLocked).
+  LoadDistribution LoadForLocked(const PathId& path,
+                                 const std::set<ClassId>& scope,
+                                 double total) const REQUIRES_SHARED(mu_);
+  double NaivePagesLocked(const PathId& path, double total) const
+      REQUIRES_SHARED(mu_);
 
   /// Taken only by drains (the readers and a full batch), never while a
   /// batch cell is held: mu_ sits above the cells, which are leaves.

@@ -50,16 +50,23 @@ TEST(ServeStressTest, QueriesAndUpdatesAcrossEpochSwaps) {
   const double epochs_before =
       db.metrics().CounterAt("pathix_db_config_epochs_total").Value();
 
-  // The reconfigurer: alternates between the whole-path NIX and the
-  // paper's split while the workers keep serving. Every swap must find the
-  // old epoch still serving and leave the new one published.
+  // The reconfigurer: rotates through the paper's split, a MIX/NIX split
+  // and the whole-path NIX while the workers keep serving. Every swap must
+  // find the old epoch still serving and leave the new one published. The
+  // splits hand a downstream part's oids to the next part as a key batch,
+  // so the MX, MIX and NIX sorted walks (which keep node pointers across
+  // keys under the part's shared latch) all race concurrent maintenance.
   std::atomic<int> swaps_done{0};
   std::thread reconfigurer([&] {
-    const IndexConfiguration whole({{Subpath{1, 4}, IndexOrg::kNIX}});
-    const IndexConfiguration split({{Subpath{1, 2}, IndexOrg::kNIX},
-                                    {Subpath{3, 4}, IndexOrg::kMX}});
+    const IndexConfiguration rotation[] = {
+        IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
+                            {Subpath{3, 4}, IndexOrg::kMX}}),
+        IndexConfiguration({{Subpath{1, 2}, IndexOrg::kMIX},
+                            {Subpath{3, 4}, IndexOrg::kNIX}}),
+        IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}}),
+    };
     for (int i = 0; i < kSwaps; ++i) {
-      CheckOk(db.ReconfigureIndexes("people", i % 2 == 0 ? split : whole));
+      CheckOk(db.ReconfigureIndexes("people", rotation[i % 3]));
       swaps_done.fetch_add(1, std::memory_order_relaxed);
     }
   });

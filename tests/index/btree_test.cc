@@ -162,6 +162,63 @@ TEST_F(BTreeTest, BatchedChainReadsKeepKeyKindsApart) {
   ASSERT_NE(tree_.Lookup(str_key, &batch), nullptr);
   // The shared leaf once, then both records' two chain pages.
   EXPECT_EQ(pager_.stats().reads, 5u);
+
+  // The sorted walk charges the same (int keys order before string keys);
+  // a repeated key visits its record again and reads no chain page twice.
+  pager_.ResetStats();
+  const std::vector<Key> keys{int_key, int_key, str_key};
+  std::vector<Key> visited;
+  tree_.LookupSorted(keys, WholeRecord{}, [&](const PostingRecord& rec) {
+    visited.push_back(rec.key_value);
+  });
+  EXPECT_EQ(visited, keys);
+  EXPECT_EQ(pager_.stats().reads, 5u);
+}
+
+TEST(BTreeWalkTest, PinsLikePerKeyLookupsInAPoolBelowTheHeight) {
+  // Two identical trees, each on its own pager with a 2-frame pool, lower
+  // than the tree's height: a descent pins every frame and the next node
+  // bypasses the pool. The sorted walk must pin, charge and bypass exactly
+  // as per-key Lookups under one BatchCharge do.
+  Pager pager(256);
+  Pager twin_pager(256);
+  PostingTree tree(&pager, "walk");
+  PostingTree twin(&twin_pager, "walk");
+  for (PostingTree* t : {&tree, &twin}) {
+    for (int i = 0; i < 500; i += 2) {
+      t->Upsert(Key::FromInt(i), [&] { return Rec(i, 2); },
+                [](PostingRecord*) {});
+    }
+  }
+  ASSERT_GE(tree.height(), 3);
+  pager.EnableBuffer(2);
+  twin_pager.EnableBuffer(2);
+  // Ascending, with odd (absent) keys and repeats.
+  std::vector<Key> keys;
+  for (int i : {3, 8, 8, 40, 41, 42, 250, 251, 252, 252, 498, 499}) {
+    keys.push_back(Key::FromInt(i));
+  }
+  std::vector<Key> walked;
+  tree.LookupSorted(keys, WholeRecord{}, [&](const PostingRecord& rec) {
+    walked.push_back(rec.key_value);
+  });
+  BatchCharge batch;
+  std::vector<Key> looked;
+  for (const Key& key : keys) {
+    if (const PostingRecord* rec = twin.Lookup(key, &batch)) {
+      looked.push_back(rec->key_value);
+    }
+  }
+  EXPECT_EQ(walked, looked);
+  EXPECT_EQ(walked.size(), 8u);
+  EXPECT_EQ(pager.stats(), twin_pager.stats());
+  const BufferPoolStats a = pager.buffer_pool().GetStats();
+  const BufferPoolStats b = twin_pager.buffer_pool().GetStats();
+  EXPECT_GT(a.pin_bypasses, 0u);
+  EXPECT_EQ(a.pin_bypasses, b.pin_bypasses);
+  EXPECT_EQ(a.read_hits, b.read_hits);
+  EXPECT_EQ(a.read_misses, b.read_misses);
+  EXPECT_EQ(a.evictions, b.evictions);
 }
 
 TEST_F(BTreeTest, StubRecordsDoNotBlockSplits) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
@@ -226,6 +228,25 @@ TEST(PhysicalCountingTest, IndexStoragePagesAreReported) {
 }
 
 // --------------------------------------------------------- NIX specifics
+
+TEST(SortUniqueOidsTest, MatchesSortAndUnique) {
+  // Both sides of the comparison-sort cutoff, oids of 1 to 40 bits in use
+  // (a shared high digit skips its radix pass), many duplicates.
+  std::mt19937_64 rng(17);
+  for (std::size_t n : {0, 1, 2, 63, 64, 65, 300, 5000}) {
+    for (int bits : {1, 8, 17, 40}) {
+      std::vector<Oid> oids(n);
+      for (Oid& oid : oids) {
+        oid = (Oid{1} << (bits - 1)) | (rng() & ((Oid{1} << bits) - 1));
+      }
+      std::vector<Oid> want = oids;
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      SortUniqueOids(&oids);
+      EXPECT_EQ(oids, want) << "n=" << n << " bits=" << bits;
+    }
+  }
+}
 
 TEST(NIXPhysicalTest, NumchildDrivesDeferredRemoval) {
   // Hand-built micro scenario: one Person owning two Buses made by the

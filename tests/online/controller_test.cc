@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "datagen/generator.h"
@@ -11,6 +14,7 @@
 #include "exec/analyze.h"
 #include "online/joint_controller.h"
 #include "online/transition_cost.h"
+#include "serve/serve_driver.h"
 
 namespace pathix {
 namespace {
@@ -255,6 +259,77 @@ TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {
     }
     CheckOk(inst.db.ValidateIndexesDeep());
   }
+}
+
+TEST(ControllerTest, ConcurrentChecksLogOneUpdateLoadPerClass) {
+  // Four workers serve two paths that share Vehicle, Company and Division
+  // while the controller checks every few dozen ops. Update frequencies
+  // are per class, so every path's row of a class must carry the same
+  // insert and delete frequency: each check reads the monitor once. Not
+  // labeled slow: TSan runs it.
+  constexpr const char* kSpec = R"(
+class Person          1500 600 1 64
+class Vehicle         200  150 2 64
+class Bus   : Vehicle 100  90  2 64
+class Company         30   30  2 64
+class Division        30   30  1 64
+
+ref Person  owns Vehicle  multi
+ref Vehicle man  Company  multi
+ref Company divs Division multi
+attr Division name string
+
+path people Person owns man divs name
+path fleet  Vehicle man divs name
+orgs MX MIX NIX NONE
+
+populate Person   1500 0  1.0
+populate Vehicle  200  0  2.0
+populate Bus      100  0  2.0
+populate Company  30   0  2.0
+populate Division 30   30 1.0
+trace_seed 30
+
+phase churn 8000
+mix people Person   0.30 0.10 0.10
+mix fleet  Vehicle  0.20 0.08 0.08
+mix fleet  Bus      0.00 0.06 0.06
+mix fleet  Division 0.10 0.06 0.06
+)";
+  Result<TraceSpec> spec = ParseTraceSpec(kSpec);
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  const TraceSpec& s = spec.value();
+
+  SimDatabase db(s.schema, s.catalog.params());
+  ServeDriver driver(&db, s, ServeOptions{4});
+  driver.Populate();
+  ControllerOptions options = ControllerOptionsFor(s);
+  options.warmup_ops = 64;
+  options.check_interval_ops = 32;
+  JointReconfigurationController controller(&db, options);
+  db.SetObserver(&controller);
+  driver.RunPhase(0, &controller);
+  db.SetObserver(nullptr);
+  CheckOk(controller.status());
+
+  std::size_t shared_rows = 0;
+  for (const DecisionRecord& rec : controller.decisions()) {
+    std::map<std::string, std::pair<double, double>> first_row;
+    for (const DecisionLoadEntry& row : rec.load) {
+      const auto [it, fresh] =
+          first_row.emplace(row.cls, std::make_pair(row.insert, row.del));
+      if (fresh) continue;
+      ++shared_rows;
+      EXPECT_EQ(row.insert, it->second.first)
+          << "check " << rec.check_number << " " << row.path << " "
+          << row.cls;
+      EXPECT_EQ(row.del, it->second.second)
+          << "check " << rec.check_number << " " << row.path << " "
+          << row.cls;
+    }
+  }
+  EXPECT_GT(controller.decisions().size(), 10u);
+  EXPECT_GT(shared_rows, 0u);
 }
 
 }  // namespace
