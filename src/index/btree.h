@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <set>
@@ -189,29 +190,13 @@ class BTree {
     return rec;
   }
 
-  /// As Lookup, but reads at most \p needed_bytes of a multi-page record
-  /// (partial retrieval, e.g. one class's slice of a NIX primary record).
-  const Record* LookupPartial(const Key& key, std::size_t needed_bytes) {
-    return LookupPartialFn(key,
-                           [needed_bytes](const Record&) { return needed_bytes; });
-  }
-
-  /// As LookupPartial with the needed bytes computed from the record (the
-  /// record's directory is inspected on its first page before the chain is
-  /// followed).
-  template <typename NeedFn>
-  const Record* LookupPartialFn(const Key& key, NeedFn&& needed_bytes_fn) {
-    PinSet pins;
-    Node* leaf = DescendCounted(key, nullptr, &pins);
-    Record* rec = FindInLeaf(leaf, key);
-    if (rec != nullptr) ReadChain(*rec, needed_bytes_fn);
-    return rec;
-  }
-
   /// Sorted batch read: hands the record of every present key of \p keys
   /// to \p visit, in key order, after reading the min(chain, needed) first
-  /// chain pages of a multi-page record (\p needed_bytes_fn as in
-  /// LookupPartialFn; WholeRecord reads the whole chain).
+  /// chain pages of a multi-page record. needed is the pages of
+  /// \p needed_bytes_fn(record), which inspects the record's directory on
+  /// its first page before the chain is followed (partial retrieval, e.g.
+  /// one class's slice of a NIX primary record); WholeRecord reads the
+  /// whole chain.
   ///
   /// \p keys must be ascending; a repeated key visits its record again and
   /// charges nothing. The walk keeps its root-to-leaf path as a stack of
@@ -229,8 +214,18 @@ class BTree {
       Node* node;
       const Key* upper;  ///< exclusive bound of the node's keys; null: none
     };
-    std::vector<Step> path;
-    path.reserve(16);  // deeper than page-sized nodes grow: one allocation
+    // One step per level, kept on the stack: allocating the path on every
+    // probe slowed the one-key probes measurably. Only a tree deeper than
+    // kStackPath levels (long keys on small pages) puts it on the heap.
+    constexpr int kStackPath = 16;
+    std::array<Step, kStackPath> stack_path;
+    std::vector<Step> heap_path;
+    Step* path = stack_path.data();
+    if (height_ > kStackPath) {
+      heap_path.resize(static_cast<std::size_t>(height_));
+      path = heap_path.data();
+    }
+    int depth = 0;
     const Key* prev = nullptr;
     for (const Key& key : keys) {
       PATHIX_DCHECK(prev == nullptr || !(key < *prev));
@@ -239,24 +234,24 @@ class BTree {
       Record* rec = nullptr;
       {
         PinSet pins;
-        while (!path.empty() && path.back().upper != nullptr &&
-               !(key < *path.back().upper)) {
-          path.pop_back();
+        while (depth > 0 && path[depth - 1].upper != nullptr &&
+               !(key < *path[depth - 1].upper)) {
+          --depth;
         }
-        if (path.empty()) {
-          path.push_back(Step{root_.get(), nullptr});
+        if (depth == 0) {
+          path[depth++] = Step{root_.get(), nullptr};
           ChargeRead(root_->page, nullptr, &pins);
         }
-        while (!path.back().node->leaf) {
-          const Step& at = path.back();
+        while (!path[depth - 1].node->leaf) {
+          const Step& at = path[depth - 1];
           const auto it =
               std::upper_bound(at.node->seps.begin(), at.node->seps.end(), key);
           const Key* upper = it == at.node->seps.end() ? at.upper : &*it;
           Node* child = at.node->children[it - at.node->seps.begin()].get();
           ChargeRead(child->page, nullptr, &pins);
-          path.push_back(Step{child, upper});
+          path[depth++] = Step{child, upper};
         }
-        rec = FindInLeaf(path.back().node, key);
+        rec = FindInLeaf(path[depth - 1].node, key);
         if (rec != nullptr && !repeat) ReadChain(*rec, needed_bytes_fn);
       }
       if (rec != nullptr) visit(*rec);
@@ -368,15 +363,8 @@ class BTree {
 
   // ----------------------------------------------------------------- stats
 
-  int height() const {
-    int h = 1;
-    const Node* node = root_.get();
-    while (!node->leaf) {
-      node = node->children.front().get();
-      ++h;
-    }
-    return h;
-  }
+  /// Levels from the root to the leaves.
+  int height() const { return height_; }
 
   std::size_t num_records() const { return num_records_; }
 
@@ -397,7 +385,11 @@ class BTree {
   Status ValidateStructure() const {
     int leaf_depth = -1;
     const Key* prev = nullptr;
-    return ValidateNode(root_.get(), 0, &leaf_depth, &prev);
+    PATHIX_RETURN_IF_ERROR(ValidateNode(root_.get(), 0, &leaf_depth, &prev));
+    if (leaf_depth + 1 != height_) {
+      return Status::Internal("height() differs from the leaves' depth");
+    }
+    return Status::OK();
   }
 
  private:
@@ -548,6 +540,7 @@ class BTree {
       new_root->children.push_back(std::move(root_));
       new_root->children.push_back(std::move(top.right));
       root_ = std::move(new_root);
+      ++height_;
       pager_->NoteWrite(root_->page);
     }
     ++num_records_;
@@ -623,6 +616,7 @@ class BTree {
       new_root->children.push_back(std::move(root_));
       new_root->children.push_back(std::move(top.right));
       root_ = std::move(new_root);
+      ++height_;
       pager_->NoteWrite(root_->page);
     }
   }
@@ -706,6 +700,7 @@ class BTree {
   Pager* pager_;
   std::string name_;
   std::unique_ptr<Node> root_;
+  int height_ = 1;  ///< grows with each root split; nodes never merge
   std::size_t num_records_ = 0;
 };
 

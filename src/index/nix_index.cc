@@ -181,19 +181,11 @@ std::vector<Oid> NIXIndex::Probe(const std::vector<Key>& keys,
                      [](const Posting& p) { return p.oid; });
     }
   };
-  if (keys.size() == 1) {
-    if (const PostingRecord* rec =
-            primary_.LookupPartialFn(keys.front(), needed)) {
-      append(*rec);
-    }
-    // A single class slice of a single record is already oid-ordered and
-    // duplicate-free.
-    if (target_classes.size() > 1) SortUniqueOids(&oids);
-    return oids;
-  }
-  // A batch of keys: one sorted walk, each page charged once (Yao).
+  // One sorted walk, each page charged once per batch (Yao).
   primary_.LookupSorted(keys, needed, append);
-  SortUniqueOids(&oids);
+  // A single class slice of a single record is already oid-ordered and
+  // duplicate-free.
+  if (keys.size() > 1 || target_classes.size() > 1) SortUniqueOids(&oids);
   return oids;
 }
 

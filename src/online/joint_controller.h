@@ -60,7 +60,7 @@ struct ControllerOptions {
   /// Operations observed before the first drift check may run. The initial
   /// install is hysteresis-gated like any other transition, against the
   /// *measured* naive-scan cost of the status quo
-  /// (WorkloadMonitor::MeasuredNaiveQueryPagesPerOp).
+  /// (MonitorSnapshot::naive_pages_per_op).
   std::uint64_t warmup_ops = 256;
   /// Amortization horizon H: a switch must win within H future operations.
   double horizon_ops = 4096;

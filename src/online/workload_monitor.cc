@@ -97,12 +97,6 @@ void WorkloadMonitor::Drain() const {
   now_ = ops_.load(std::memory_order_relaxed);
 }
 
-double WorkloadMonitor::DecayedTotal() const {
-  MutexLock lock(&mu_);
-  Drain();
-  return DecayedTotalLocked();
-}
-
 double WorkloadMonitor::DecayedTotalLocked() const {
   double total = 0;
   for (const auto& [path, by_class] : queries_) {
@@ -142,48 +136,6 @@ LoadDistribution WorkloadMonitor::EstimatedLoad() const {
   return load;
 }
 
-LoadDistribution WorkloadMonitor::EstimatedLoadFor(
-    const PathId& path, const std::set<ClassId>& scope) const {
-  MutexLock lock(&mu_);
-  Drain();
-  return LoadForLocked(path, scope, DecayedTotalLocked());
-}
-
-LoadDistribution WorkloadMonitor::LoadForLocked(const PathId& path,
-                                                const std::set<ClassId>& scope,
-                                                double total) const {
-  LoadDistribution load;
-  if (total <= 0) return load;
-  std::unordered_map<ClassId, OpLoad> merged;
-  const auto it = queries_.find(path);
-  if (it != queries_.end()) {
-    for (const auto& [cls, e] : it->second) merged[cls].query += Folded(e);
-  }
-  for (const auto& [cls, e] : inserts_) {
-    if (scope.count(cls) > 0) merged[cls].insert += Folded(e);
-  }
-  for (const auto& [cls, e] : deletes_) {
-    if (scope.count(cls) > 0) merged[cls].del += Folded(e);
-  }
-  for (const auto& [cls, l] : merged) {
-    load.Set(cls, l.query / total, l.insert / total, l.del / total);
-  }
-  return load;
-}
-
-double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp(const PathId& path) const {
-  MutexLock lock(&mu_);
-  Drain();
-  return NaivePagesLocked(path, DecayedTotalLocked());
-}
-
-double WorkloadMonitor::NaivePagesLocked(const PathId& path,
-                                         double total) const {
-  if (total <= 0) return 0;
-  const auto it = naive_pages_.find(path);
-  return it == naive_pages_.end() ? 0 : Folded(it->second) / total;
-}
-
 MonitorSnapshot WorkloadMonitor::Snapshot(
     const std::vector<PathId>& paths,
     const std::vector<std::set<ClassId>>& scopes) const {
@@ -192,14 +144,33 @@ MonitorSnapshot WorkloadMonitor::Snapshot(
   Drain();
   MonitorSnapshot snap;
   snap.op_index = now_;
-  snap.decayed_total = DecayedTotalLocked();
-  snap.loads.reserve(paths.size());
-  snap.naive_pages_per_op.reserve(paths.size());
+  const double total = DecayedTotalLocked();
+  snap.decayed_total = total;
+  snap.loads.resize(paths.size());
+  snap.naive_pages_per_op.resize(paths.size());
+  if (total <= 0) return snap;
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    snap.loads.push_back(
-        LoadForLocked(paths[i], scopes[i], snap.decayed_total));
-    snap.naive_pages_per_op.push_back(
-        NaivePagesLocked(paths[i], snap.decayed_total));
+    std::unordered_map<ClassId, OpLoad> merged;
+    const auto queries = queries_.find(paths[i]);
+    if (queries != queries_.end()) {
+      for (const auto& [cls, e] : queries->second) {
+        merged[cls].query += Folded(e);
+      }
+    }
+    for (const auto& [cls, e] : inserts_) {
+      if (scopes[i].count(cls) > 0) merged[cls].insert += Folded(e);
+    }
+    for (const auto& [cls, e] : deletes_) {
+      if (scopes[i].count(cls) > 0) merged[cls].del += Folded(e);
+    }
+    for (const auto& [cls, l] : merged) {
+      snap.loads[i].Set(cls, l.query / total, l.insert / total,
+                        l.del / total);
+    }
+    const auto naive = naive_pages_.find(paths[i]);
+    if (naive != naive_pages_.end()) {
+      snap.naive_pages_per_op[i] = Folded(naive->second) / total;
+    }
   }
   return snap;
 }

@@ -58,10 +58,16 @@ inline constexpr std::size_t kMonitorBatchCap = 512;
 struct MonitorSnapshot {
   /// The op count the drain folded up to: the estimates' "now".
   std::uint64_t op_index = 0;
+  /// Decayed total weight across all paths, classes and kinds: the shared
+  /// scale every estimate below is normalized by.
   double decayed_total = 0;
-  /// Per requested path, in request order: EstimatedLoadFor and
-  /// MeasuredNaiveQueryPagesPerOp at op_index.
+  /// Per requested path, in request order: the path's query frequencies
+  /// plus the update frequencies of the classes in its scope.
   std::vector<LoadDistribution> loads;
+  /// Per requested path: decayed measured pages of its *naive-scan*
+  /// queries per observed operation — the priced current cost of an
+  /// unconfigured path, directly comparable to the cost model's expected
+  /// pages per operation. Zero until a naive query on the path is observed.
   std::vector<double> naive_pages_per_op;
 };
 
@@ -110,39 +116,18 @@ class WorkloadMonitor {
   /// until the first observation.
   LoadDistribution EstimatedLoad() const EXCLUDES(mu_);
 
-  /// The estimate for one path of a workload: that path's query
-  /// frequencies, plus the update frequencies of the classes in \p scope.
-  /// Normalized by the same shared total as every other path's estimate.
-  LoadDistribution EstimatedLoadFor(const PathId& path,
-                                    const std::set<ClassId>& scope) const
-      EXCLUDES(mu_);
-
-  /// Decayed measured pages of *naive-scan* queries on \p path per observed
-  /// operation (same shared normalization scale as the frequency
-  /// estimates) — the priced current-cost of an unconfigured path, directly
-  /// comparable to the cost model's expected pages per operation. Zero
-  /// until a naive query on the path has been observed.
-  double MeasuredNaiveQueryPagesPerOp(const PathId& path) const EXCLUDES(mu_);
-
-  /// The all-paths aggregate.
+  /// Decayed measured pages of naive-scan queries on every path per
+  /// observed operation (MonitorSnapshot::naive_pages_per_op summed over
+  /// all paths).
   double MeasuredNaiveQueryPagesPerOp() const EXCLUDES(mu_);
 
-  /// Decayed total weight across all paths, classes and kinds.
-  double DecayedTotal() const EXCLUDES(mu_);
-
-  /// DecayedTotal, and EstimatedLoadFor(paths[i], scopes[i]) and
-  /// MeasuredNaiveQueryPagesPerOp(paths[i]) for every i, all from one
-  /// drain: under concurrent observers the separate reads drain (and so
-  /// normalize) at different op counts, while a snapshot's shared update
-  /// frequencies are the same in every path's load.
+  /// The estimates for the workload's paths \p paths, path i with the
+  /// update classes \p scopes[i], all from one drain: every estimate is
+  /// normalized at one op count, so the shared update frequencies are the
+  /// same in every path's load even while other threads observe.
   MonitorSnapshot Snapshot(const std::vector<PathId>& paths,
                            const std::vector<std::set<ClassId>>& scopes) const
       EXCLUDES(mu_);
-
-  /// Op indexes handed out so far (folded or still pending).
-  std::uint64_t ops_observed() const {
-    return ops_.load(std::memory_order_relaxed);
-  }
 
   /// Drops every count and pending record and restarts the op index at 0.
   /// Call it while no thread observes.
@@ -182,16 +167,8 @@ class WorkloadMonitor {
   /// count * decay^(now_ - as_of).
   double Folded(const Entry& e) const REQUIRES_SHARED(mu_);
 
-  /// DecayedTotal for callers already holding mu_ (shared_mutex does not
-  /// support recursive locking).
+  /// Decayed total weight across all paths, classes and kinds.
   double DecayedTotalLocked() const REQUIRES_SHARED(mu_);
-  /// EstimatedLoadFor and MeasuredNaiveQueryPagesPerOp(path) under mu_,
-  /// normalized by \p total (DecayedTotalLocked).
-  LoadDistribution LoadForLocked(const PathId& path,
-                                 const std::set<ClassId>& scope,
-                                 double total) const REQUIRES_SHARED(mu_);
-  double NaivePagesLocked(const PathId& path, double total) const
-      REQUIRES_SHARED(mu_);
 
   /// Taken only by drains (the readers and a full batch), never while a
   /// batch cell is held: mu_ sits above the cells, which are leaves.

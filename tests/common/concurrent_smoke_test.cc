@@ -373,8 +373,9 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
       }
     }
   });
-  EXPECT_EQ(monitor.ops_observed(), kThreads * kOpsPerThread);
-  EXPECT_GT(monitor.DecayedTotal(), 0.0);
+  const MonitorSnapshot snap = monitor.Snapshot({}, {});
+  EXPECT_EQ(snap.op_index, kThreads * kOpsPerThread);
+  EXPECT_GT(snap.decayed_total, 0.0);
   // Every observation got its own op index: together exactly 1..N.
   std::vector<std::uint64_t> all;
   for (const std::vector<std::uint64_t>& mine : assigned) {
@@ -394,7 +395,9 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
 void ExpectMonitorMatchesSortedReplay(double half_life_ops,
                                       double tolerance) {
   constexpr std::uint64_t kOpsPerThread = 3000;
+  const std::vector<PathId> paths{"p", "q"};
   const std::set<ClassId> scope{0, 1, 2};
+  const std::vector<std::set<ClassId>> scopes{scope, scope};
   WorkloadMonitor monitor(half_life_ops);
   std::vector<std::vector<std::pair<std::uint64_t, DbOpEvent>>> seen(
       kThreads);
@@ -402,9 +405,7 @@ void ExpectMonitorMatchesSortedReplay(double half_life_ops,
   std::atomic<int> ready{0};
   std::thread reader([&] {
     while (observing.load() > 0) {
-      (void)monitor.DecayedTotal();
-      (void)monitor.EstimatedLoadFor("p", scope);
-      (void)monitor.MeasuredNaiveQueryPagesPerOp("q");
+      (void)monitor.Snapshot(paths, scopes);
     }
   });
   RunInParallel(kThreads, [&](int t) {
@@ -439,14 +440,16 @@ void ExpectMonitorMatchesSortedReplay(double half_life_ops,
   const auto expect_close = [tolerance](double got, double want) {
     EXPECT_NEAR(got, want, tolerance * std::abs(want)) << want;
   };
-  expect_close(monitor.DecayedTotal(), replay.DecayedTotal());
+  const MonitorSnapshot got_snap = monitor.Snapshot(paths, scopes);
+  const MonitorSnapshot want_snap = replay.Snapshot(paths, scopes);
+  expect_close(got_snap.decayed_total, want_snap.decayed_total);
   expect_close(monitor.MeasuredNaiveQueryPagesPerOp(),
                replay.MeasuredNaiveQueryPagesPerOp());
-  for (const char* path : {"p", "q"}) {
-    expect_close(monitor.MeasuredNaiveQueryPagesPerOp(path),
-                 replay.MeasuredNaiveQueryPagesPerOp(path));
-    const LoadDistribution got = monitor.EstimatedLoadFor(path, scope);
-    const LoadDistribution want = replay.EstimatedLoadFor(path, scope);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    expect_close(got_snap.naive_pages_per_op[i],
+                 want_snap.naive_pages_per_op[i]);
+    const LoadDistribution& got = got_snap.loads[i];
+    const LoadDistribution& want = want_snap.loads[i];
     for (ClassId cls : scope) {
       expect_close(got.Get(cls).query, want.Get(cls).query);
       expect_close(got.Get(cls).insert, want.Get(cls).insert);

@@ -5,6 +5,7 @@
 #include <map>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace pathix {
@@ -135,7 +136,10 @@ TEST_F(BTreeTest, PartialReadStopsEarly) {
   tree_.Upsert(Key::FromInt(1), [] { return Rec(1, 30); },
                [](PostingRecord*) {});
   pager_.ResetStats();
-  tree_.LookupPartial(Key::FromInt(1), 100);  // one page is enough
+  const std::vector<Key> keys{Key::FromInt(1)};
+  tree_.LookupSorted(
+      keys, [](const PostingRecord&) { return 100; },  // one page is enough
+      [](const PostingRecord&) {});
   EXPECT_EQ(pager_.stats().reads,
             static_cast<std::uint64_t>(tree_.height()) + 1);
 }
@@ -175,50 +179,91 @@ TEST_F(BTreeTest, BatchedChainReadsKeepKeyKindsApart) {
   EXPECT_EQ(pager_.stats().reads, 5u);
 }
 
-TEST(BTreeWalkTest, PinsLikePerKeyLookupsInAPoolBelowTheHeight) {
-  // Two identical trees, each on its own pager with a 2-frame pool, lower
-  // than the tree's height: a descent pins every frame and the next node
-  // bypasses the pool. The sorted walk must pin, charge and bypass exactly
-  // as per-key Lookups under one BatchCharge do.
+// Builds two identical trees holding \p stored (two postings each), each on
+// its own pager with a pool of \p pool_frames, and probes \p probed: the
+// sorted walk on one must visit \p found records and charge, pin and bypass
+// exactly as per-key Lookups under one BatchCharge on the other. Returns
+// the walk's pool stats.
+BufferPoolStats ExpectWalkLikeLookups(const std::vector<Key>& stored,
+                                      const std::vector<Key>& probed,
+                                      std::size_t found,
+                                      std::size_t pool_frames,
+                                      int min_height) {
   Pager pager(256);
   Pager twin_pager(256);
   PostingTree tree(&pager, "walk");
   PostingTree twin(&twin_pager, "walk");
   for (PostingTree* t : {&tree, &twin}) {
-    for (int i = 0; i < 500; i += 2) {
-      t->Upsert(Key::FromInt(i), [&] { return Rec(i, 2); },
-                [](PostingRecord*) {});
+    for (const Key& key : stored) {
+      t->Upsert(
+          key,
+          [&] {
+            PostingRecord rec = Rec(0, 2);
+            rec.key_value = key;
+            return rec;
+          },
+          [](PostingRecord*) {});
     }
   }
-  ASSERT_GE(tree.height(), 3);
-  pager.EnableBuffer(2);
-  twin_pager.EnableBuffer(2);
-  // Ascending, with odd (absent) keys and repeats.
-  std::vector<Key> keys;
-  for (int i : {3, 8, 8, 40, 41, 42, 250, 251, 252, 252, 498, 499}) {
-    keys.push_back(Key::FromInt(i));
-  }
+  EXPECT_TRUE(tree.ValidateStructure().ok());
+  EXPECT_GE(tree.height(), min_height);
+  pager.EnableBuffer(pool_frames);
+  twin_pager.EnableBuffer(pool_frames);
   std::vector<Key> walked;
-  tree.LookupSorted(keys, WholeRecord{}, [&](const PostingRecord& rec) {
+  tree.LookupSorted(probed, WholeRecord{}, [&](const PostingRecord& rec) {
     walked.push_back(rec.key_value);
   });
   BatchCharge batch;
   std::vector<Key> looked;
-  for (const Key& key : keys) {
+  for (const Key& key : probed) {
     if (const PostingRecord* rec = twin.Lookup(key, &batch)) {
       looked.push_back(rec->key_value);
     }
   }
   EXPECT_EQ(walked, looked);
-  EXPECT_EQ(walked.size(), 8u);
+  EXPECT_EQ(walked.size(), found);
   EXPECT_EQ(pager.stats(), twin_pager.stats());
   const BufferPoolStats a = pager.buffer_pool().GetStats();
   const BufferPoolStats b = twin_pager.buffer_pool().GetStats();
-  EXPECT_GT(a.pin_bypasses, 0u);
   EXPECT_EQ(a.pin_bypasses, b.pin_bypasses);
   EXPECT_EQ(a.read_hits, b.read_hits);
   EXPECT_EQ(a.read_misses, b.read_misses);
   EXPECT_EQ(a.evictions, b.evictions);
+  return a;
+}
+
+TEST(BTreeWalkTest, PinsLikePerKeyLookupsInAPoolBelowTheHeight) {
+  // A 2-frame pool, lower than the tree's height: a descent pins every
+  // frame and the next node bypasses the pool.
+  std::vector<Key> stored;
+  for (int i = 0; i < 500; i += 2) stored.push_back(Key::FromInt(i));
+  // Ascending, with odd (absent) keys and repeats.
+  std::vector<Key> probed;
+  for (int i : {3, 8, 8, 40, 41, 42, 250, 251, 252, 252, 498, 499}) {
+    probed.push_back(Key::FromInt(i));
+  }
+  const BufferPoolStats pool =
+      ExpectWalkLikeLookups(stored, probed, /*found=*/8, /*pool_frames=*/2,
+                            /*min_height=*/3);
+  EXPECT_GT(pool.pin_bypasses, 0u);
+}
+
+TEST(BTreeWalkTest, WalksATreeDeeperThanItsStackPath) {
+  // Keys of 200 bytes on 256-byte pages: an inner node holds one
+  // separator, so a few dozen records make the tree deeper than the
+  // walk's 16 stack levels and its path moves to the heap.
+  const auto key_of = [](int i) {
+    std::string digits = std::to_string(1000 + i);
+    return Key::FromString(std::string(196, 'k') + digits);
+  };
+  std::vector<Key> stored;
+  for (int i = 0; i < 120; i += 2) stored.push_back(key_of(i));
+  std::vector<Key> probed;
+  for (int i : {0, 1, 2, 2, 30, 61, 62, 64, 100, 117, 118, 119}) {
+    probed.push_back(key_of(i));
+  }
+  ExpectWalkLikeLookups(stored, probed, /*found=*/8, /*pool_frames=*/4,
+                        /*min_height=*/17);
 }
 
 TEST_F(BTreeTest, StubRecordsDoNotBlockSplits) {

@@ -231,7 +231,8 @@ TEST(PhysicalCountingTest, IndexStoragePagesAreReported) {
 
 TEST(SortUniqueOidsTest, MatchesSortAndUnique) {
   // Both sides of the comparison-sort cutoff, oids of 1 to 40 bits in use
-  // (a shared high digit skips its radix pass), many duplicates.
+  // (one to five radix passes, some over a digit every oid shares), many
+  // duplicates.
   std::mt19937_64 rng(17);
   for (std::size_t n : {0, 1, 2, 63, 64, 65, 300, 5000}) {
     for (int bits : {1, 8, 17, 40}) {

@@ -21,10 +21,19 @@ const DbOpEvent kQueryA{DbOpKind::kQuery, kA, {}, false, {}};
 const DbOpEvent kInsertB{DbOpKind::kInsert, kB, {}, false, {}};
 const DbOpEvent kDeleteB{DbOpKind::kDelete, kB, {}, false, {}};
 
+// The paths' estimates from one drain (no update classes in scope).
+MonitorSnapshot SnapshotOf(const WorkloadMonitor& monitor,
+                           const std::vector<PathId>& paths = {}) {
+  return monitor.Snapshot(paths,
+                          std::vector<std::set<ClassId>>(paths.size()));
+}
+
 TEST(WorkloadMonitorTest, EmptyMonitorEstimatesZero) {
   WorkloadMonitor monitor;
-  EXPECT_EQ(monitor.ops_observed(), 0u);
-  EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 0.0);
+  const MonitorSnapshot snap = SnapshotOf(monitor, {"p"});
+  EXPECT_EQ(snap.op_index, 0u);
+  EXPECT_DOUBLE_EQ(snap.decayed_total, 0.0);
+  EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[0], 0.0);
   const LoadDistribution load = monitor.EstimatedLoad();
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.0);
 }
@@ -61,7 +70,7 @@ TEST(WorkloadMonitorTest, NoDecayCountsPlainly) {
   WorkloadMonitor monitor(/*half_life_ops=*/0);  // decay disabled
   for (int i = 0; i < 30; ++i) monitor.Observe(kQueryA);
   for (int i = 0; i < 10; ++i) monitor.Observe(kInsertB);
-  EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 40.0);
+  EXPECT_DOUBLE_EQ(SnapshotOf(monitor).decayed_total, 40.0);
   const LoadDistribution load = monitor.EstimatedLoad();
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.75);
   EXPECT_DOUBLE_EQ(load.Get(kB).insert, 0.25);
@@ -71,8 +80,9 @@ TEST(WorkloadMonitorTest, ResetClearsState) {
   WorkloadMonitor monitor;
   monitor.Observe(kQueryA);
   monitor.Reset();
-  EXPECT_EQ(monitor.ops_observed(), 0u);
-  EXPECT_DOUBLE_EQ(monitor.DecayedTotal(), 0.0);
+  const MonitorSnapshot snap = SnapshotOf(monitor);
+  EXPECT_EQ(snap.op_index, 0u);
+  EXPECT_DOUBLE_EQ(snap.decayed_total, 0.0);
   EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(), 0.0);
 }
 
@@ -84,22 +94,23 @@ TEST(WorkloadMonitorTest, PricesNaiveScanPagesPerOperation) {
   monitor.Observe({DbOpKind::kQuery, kA, "p", true, AccessStats{100, 0, 0}});
   monitor.Observe({DbOpKind::kQuery, kA, "q", false, AccessStats{5, 0, 0}});
   monitor.Observe({DbOpKind::kInsert, kB, {}, false, AccessStats{0, 1, 0}});
-  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp("p"), 50.0);
-  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp("q"), 0.0);
+  const MonitorSnapshot snap = SnapshotOf(monitor, {"p", "q"});
+  EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[0], 50.0);
+  EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[1], 0.0);
   EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(), 50.0);
 }
 
 TEST(WorkloadMonitorTest, NaivePagesDecayLikeTheCounts) {
   WorkloadMonitor monitor(/*half_life_ops=*/2);
   monitor.Observe({DbOpKind::kQuery, kA, "p", true, AccessStats{64, 0, 0}});
-  const double fresh = monitor.MeasuredNaiveQueryPagesPerOp("p");
+  const double fresh = SnapshotOf(monitor, {"p"}).naive_pages_per_op[0];
   EXPECT_GT(fresh, 0.0);
   // Cheap indexed traffic dilutes the estimate: the decayed page sum fades
   // at the same rate as the op weights, so the per-op price falls.
   for (int i = 0; i < 8; ++i) {
     monitor.Observe({DbOpKind::kQuery, kA, "p", false, AccessStats{1, 0, 0}});
   }
-  EXPECT_LT(monitor.MeasuredNaiveQueryPagesPerOp("p"), fresh);
+  EXPECT_LT(SnapshotOf(monitor, {"p"}).naive_pages_per_op[0], fresh);
 }
 
 // Queries on two paths (some naive, with pages), inserts and deletes, in
@@ -139,20 +150,20 @@ std::vector<DbOpEvent> MixedEvents(std::size_t n) {
 
 // Every estimate the monitor offers, compared bit for bit.
 void ExpectSameEstimates(const WorkloadMonitor& a, const WorkloadMonitor& b) {
-  EXPECT_EQ(a.ops_observed(), b.ops_observed());
-  EXPECT_EQ(a.DecayedTotal(), b.DecayedTotal());
+  const std::vector<PathId> paths{"p", "q"};
+  const std::set<ClassId> scope{kA, kB};
+  const std::vector<std::set<ClassId>> scopes{scope, {kB}};
+  const MonitorSnapshot sa = a.Snapshot(paths, scopes);
+  const MonitorSnapshot sb = b.Snapshot(paths, scopes);
+  EXPECT_EQ(sa.op_index, sb.op_index);
+  EXPECT_EQ(sa.decayed_total, sb.decayed_total);
+  EXPECT_EQ(sa.naive_pages_per_op, sb.naive_pages_per_op);
   EXPECT_EQ(a.MeasuredNaiveQueryPagesPerOp(),
             b.MeasuredNaiveQueryPagesPerOp());
-  for (const char* path : {"p", "q"}) {
-    EXPECT_EQ(a.MeasuredNaiveQueryPagesPerOp(path),
-              b.MeasuredNaiveQueryPagesPerOp(path))
-        << path;
-  }
-  const std::set<ClassId> scope{kA, kB};
   const LoadDistribution loads[][2] = {
       {a.EstimatedLoad(), b.EstimatedLoad()},
-      {a.EstimatedLoadFor("p", scope), b.EstimatedLoadFor("p", scope)},
-      {a.EstimatedLoadFor("q", {kB}), b.EstimatedLoadFor("q", {kB})}};
+      {sa.loads[0], sb.loads[0]},
+      {sa.loads[1], sb.loads[1]}};
   for (const auto& pair : loads) {
     for (ClassId cls : scope) {
       EXPECT_EQ(pair[0].Get(cls).query, pair[1].Get(cls).query) << cls;
@@ -173,15 +184,14 @@ TEST(WorkloadMonitorTest, EstimatesDoNotDependOnWhenReadsDrain) {
   for (const DbOpEvent& ev : events) {
     every_op.Observe(ev);
     at_end.Observe(ev);
-    (void)every_op.DecayedTotal();
     (void)every_op.EstimatedLoad();
-    (void)every_op.EstimatedLoadFor("p", scope);
-    (void)every_op.MeasuredNaiveQueryPagesPerOp("q");
+    (void)every_op.Snapshot({"p", "q"}, {scope, {}});
     (void)every_op.MeasuredNaiveQueryPagesPerOp();
   }
   ExpectSameEstimates(every_op, at_end);
-  EXPECT_GT(at_end.MeasuredNaiveQueryPagesPerOp("p"), 0.0);
-  EXPECT_GT(at_end.MeasuredNaiveQueryPagesPerOp("q"), 0.0);
+  const MonitorSnapshot snap = SnapshotOf(at_end, {"p", "q"});
+  EXPECT_GT(snap.naive_pages_per_op[0], 0.0);
+  EXPECT_GT(snap.naive_pages_per_op[1], 0.0);
 }
 
 // 17 threads observing one after another take 17 consecutive thread slots,
