@@ -12,6 +12,7 @@
 #include "bench_json_gbench.h"
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
+#include "exec/analyze.h"
 #include "exec/database.h"
 #include "index/btree.h"
 
@@ -81,7 +82,7 @@ void BM_BTreeSortedProbe(benchmark::State& state) {
   Pager pager(4096);
   PostingTree tree(&pager, "bench");
   for (Oid oid = 1; oid <= kRecords; ++oid) {
-    tree.UpsertUncounted(
+    tree.Upsert(
         Key::FromOid(oid),
         [&] {
           PostingRecord rec;
@@ -128,24 +129,67 @@ BENCHMARK(BM_BTreeSortedProbe)
 
 constexpr char kPeople[] = "people";
 
+/// Example 5.1's path, populated; \p scale multiplies every class's
+/// object count (the ending values stay 25).
 struct SimFixtureState {
-  SimFixtureState() : setup(MakeExample51Setup()),
-                      db(setup.schema, PhysicalParams{}) {
+  explicit SimFixtureState(int scale = 1)
+      : setup(MakeExample51Setup()), db(setup.schema, PhysicalParams{}) {
     CheckOk(db.RegisterPath(kPeople, setup.path));
     PathDataGenerator gen(11);
     gen.Populate(&db, setup.path,
                  {
-                     {setup.division, 50, 25, 1.0},
-                     {setup.company, 50, 0, 2.0},
-                     {setup.vehicle, 200, 0, 1.5},
-                     {setup.bus, 100, 0, 1.0},
-                     {setup.truck, 100, 0, 1.0},
-                     {setup.person, 2000, 0, 1.5},
+                     {setup.division, 50 * scale, 25, 1.0},
+                     {setup.company, 50 * scale, 0, 2.0},
+                     {setup.vehicle, 200 * scale, 0, 1.5},
+                     {setup.bus, 100 * scale, 0, 1.0},
+                     {setup.truck, 100 * scale, 0, 1.0},
+                     {setup.person, 2000 * scale, 0, 1.5},
                  });
   }
   PaperSetup setup;
   SimDatabase db;
 };
+
+/// The population the build rows run on: 20,000 people, as many as
+/// perfbench populates.
+constexpr int kBuildScale = 10;
+
+/// One part build per iteration: ConfigureIndexes drops the path's
+/// configuration and builds its parts afresh (the NONE parts around the
+/// measured one build nothing, but count in built_per_iter). Times stay in
+/// ns: the JSON line names every row's time *_real_ns.
+void BM_PartBuild(benchmark::State& state, IndexConfiguration config) {
+  SimFixtureState s(kBuildScale);
+  const std::uint64_t built_before = s.db.registry().parts_built();
+  for (auto _ : state) {
+    CheckOk(s.db.ConfigureIndexes(kPeople, config));
+  }
+  state.counters["built_per_iter"] = static_cast<double>(
+      s.db.registry().parts_built() - built_before) /
+      static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_PartBuild, nix_1_2,
+                  IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
+                                      {Subpath{3, 4}, IndexOrg::kNone}}));
+BENCHMARK_CAPTURE(BM_PartBuild, mx_1_1,
+                  IndexConfiguration({{Subpath{1, 1}, IndexOrg::kMX},
+                                      {Subpath{2, 4}, IndexOrg::kNone}}));
+BENCHMARK_CAPTURE(BM_PartBuild, mix_2_2,
+                  IndexConfiguration({{Subpath{1, 1}, IndexOrg::kNone},
+                                      {Subpath{2, 2}, IndexOrg::kMIX},
+                                      {Subpath{3, 4}, IndexOrg::kNone}}));
+
+/// ANALYZE of the whole path on the build rows' population.
+void BM_Analyze(benchmark::State& state) {
+  SimFixtureState s(kBuildScale);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CollectStatistics(
+        s.db.store(), s.setup.schema, s.setup.path, PhysicalParams{}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Analyze);
 
 void BM_IndexedPathQuery(benchmark::State& state) {
   SimFixtureState s;

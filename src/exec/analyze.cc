@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "index/key.h"
 
@@ -12,31 +13,32 @@ namespace {
 /// One class's statistics w.r.t. one path attribute, from the live store.
 ClassStats CollectClassStats(const ObjectStore& store, ClassId cls,
                              const std::string& attr) {
-  const std::vector<Oid> oids = store.PeekAll(cls);
+  // Owning references, listed under one shard lock: ANALYZE runs on the
+  // controller's thread while serving workers delete concurrently.
+  const std::vector<std::shared_ptr<const Object>> objects =
+      store.PeekAllRefs(cls);
   ClassStats stats;
-  stats.n = static_cast<double>(oids.size());
-  std::set<std::string> distinct;
-  double total_values = 0;
+  stats.n = static_cast<double>(objects.size());
+  std::vector<Key> values;
   double total_bytes = 0;
-  for (Oid oid : oids) {
-    // Owning references: ANALYZE runs on the controller's thread while
-    // serving workers delete concurrently; the PeekAll snapshot may name
-    // oids that are gone by the time this loop reaches them.
-    const std::shared_ptr<const Object> obj = store.PeekRef(oid);
-    if (obj == nullptr) continue;
+  for (const std::shared_ptr<const Object>& obj : objects) {
     total_bytes += static_cast<double>(obj->bytes());
     for (const Value& v : obj->values(attr)) {
       // Dangling references do not select anything; skip them like the
       // evaluators do.
-      if (v.kind() == Value::Kind::kRef &&
-          store.PeekRef(v.as_ref()) == nullptr) {
+      if (v.kind() == Value::Kind::kRef && !store.Contains(v.as_ref())) {
         continue;
       }
-      total_values += 1;
-      distinct.insert(Key::FromValue(v).ToString());
+      values.push_back(Key::FromValue(v));
     }
   }
-  stats.d = std::max<double>(1.0, static_cast<double>(distinct.size()));
+  const double total_values = static_cast<double>(values.size());
+  // An attribute's values share one kind (the schema types it), so two
+  // values are the same exactly when their keys are.
+  std::sort(values.begin(), values.end());
+  const auto distinct = std::unique(values.begin(), values.end());
+  stats.d = std::max<double>(
+      1.0, static_cast<double>(distinct - values.begin()));
   stats.nin = stats.n > 0 ? std::max(1.0, total_values / stats.n) : 1.0;
   stats.obj_len = stats.n > 0 ? total_bytes / stats.n : 64.0;
   return stats;

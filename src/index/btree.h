@@ -29,11 +29,16 @@
 /// out-of-node in an overflow chain of ceil(bytes/p) pages, with only a
 /// (key, pointer) stub in the leaf — matching the cost model's multi-page
 /// index records. Node splits occur when a node's byte occupancy exceeds
-/// the page size. Deletions shrink nodes without merging (standard lazy
+/// the page size. Each node carries its occupancy, updated at every record
+/// insert, mutation and removal and every separator insert, so the split
+/// test after an insert or an in-place growth costs O(1), not a pass over
+/// the node. Deletions shrink nodes without merging (standard lazy
 /// deletion).
 ///
-/// Every public operation counts page traffic through the Pager; *Peek*
-/// operations are uncounted and intended for builds and test assertions.
+/// Every public operation counts page traffic through the Pager (an index
+/// build runs them inside an excluded frame, which measures the traffic
+/// without charging it); *Peek* operations are uncounted and intended for
+/// test assertions.
 
 namespace pathix {
 
@@ -275,10 +280,10 @@ class BTree {
       InsertRecord(std::move(fresh));
       return;
     }
-    fn(rec);
+    MutateInLeaf(leaf, rec, fn);
     TouchRecord(leaf, *rec, touched_chain_pages, batch);
     // The mutation may have grown the record past the node budget.
-    if (NodeBytes(leaf) > pager_->page_size()) {
+    if (leaf->bytes > pager_->page_size()) {
       RebalanceAfterGrowth(key);
     }
   }
@@ -292,9 +297,9 @@ class BTree {
     Node* leaf = DescendCounted(key, batch, &pins);
     Record* rec = FindInLeaf(leaf, key);
     if (rec == nullptr) return false;
-    fn(rec);
+    MutateInLeaf(leaf, rec, fn);
     TouchRecord(leaf, *rec, touched_chain_pages, batch);
-    if (NodeBytes(leaf) > pager_->page_size()) {
+    if (leaf->bytes > pager_->page_size()) {
       RebalanceAfterGrowth(key);
     }
     return true;
@@ -309,9 +314,9 @@ class BTree {
     Node* leaf = DescendCounted(key, batch, &pins);
     Record* rec = FindInLeaf(leaf, key);
     if (rec == nullptr) return false;
-    fn(rec);
+    MutateInLeaf(leaf, rec, fn);
     TouchRecord(leaf, *rec, touched_fn(*rec), batch);
-    if (NodeBytes(leaf) > pager_->page_size()) {
+    if (leaf->bytes > pager_->page_size()) {
       RebalanceAfterGrowth(key);
     }
     return true;
@@ -326,6 +331,7 @@ class BTree {
     const std::size_t chain = ChainPages(*it);
     CountChainReads(*it, chain);  // all record pages are discarded
     if (chain > 0) pager_->NoteWrite(0);
+    leaf->bytes -= InNodeBytes(*it);
     leaf->records.erase(it);
     pager_->NoteWrite(leaf->page);
     --num_records_;
@@ -334,26 +340,13 @@ class BTree {
 
   // ----------------------------------------------------------- uncounted
 
-  /// Uncounted exact-match access (builds, assertions).
+  /// Uncounted exact-match access (test assertions).
   const Record* Peek(const Key& key) const {
     const Node* node = root_.get();
     while (!node->leaf) node = Child(node, key);
     auto it = LowerBound(const_cast<Node*>(node)->records, key);
     if (it == node->records.end() || !(it->key() == key)) return nullptr;
     return &*it;
-  }
-
-  /// Uncounted insert-or-modify used while building an index from a
-  /// populated store (index creation cost is not part of any experiment).
-  /// An excluded frame absorbs the descent's traffic — measured into the
-  /// kBuild tally, charged nowhere, buffer pool bypassed. (The previous
-  /// charge-then-rewind scheme would wipe concurrent serving threads'
-  /// folds and leave build pages resident in the pool behind counters
-  /// the pager never saw.)
-  template <typename Make, typename Fn>
-  void UpsertUncounted(const Key& key, Make&& make, Fn&& fn) {
-    ScopedAccessProbe probe(pager_, PageOpKind::kBuild, {}, /*exclude=*/true);
-    Upsert(key, std::forward<Make>(make), std::forward<Fn>(fn));
   }
 
   /// Visits every record in key order (uncounted).
@@ -381,7 +374,8 @@ class BTree {
   }
 
   /// Structural invariants: sorted keys, uniform leaf depth, separator
-  /// consistency, node occupancy within a page (stubs for big records).
+  /// consistency, each node's carried occupancy equal to a recount of its
+  /// contents, node occupancy within a page (stubs for big records).
   Status ValidateStructure() const {
     int leaf_depth = -1;
     const Key* prev = nullptr;
@@ -401,6 +395,9 @@ class BTree {
     std::vector<std::unique_ptr<Node>> children;
     std::vector<Record> records;
     Node* next = nullptr;  // leaf chain
+    /// Occupancy: InNodeBytes of every record (leaf), or every separator
+    /// with its child pointer plus the extra child pointer (inner).
+    std::size_t bytes = 0;
   };
 
   // Bytes a record occupies inside its node: full size if it fits a page,
@@ -417,15 +414,26 @@ class BTree {
         static_cast<double>(b), static_cast<double>(pager_->page_size())));
   }
 
-  std::size_t NodeBytes(const Node* node) const {
+  static std::size_t SepBytes(const Key& sep) { return sep.bytes() + 8; }
+
+  /// A node's occupancy recounted from its contents (splits, validation).
+  std::size_t CountNodeBytes(const Node* node) const {
     std::size_t b = 0;
     if (node->leaf) {
       for (const Record& r : node->records) b += InNodeBytes(r);
     } else {
-      for (const Key& k : node->seps) b += k.bytes() + 8;
+      for (const Key& k : node->seps) b += SepBytes(k);
       b += 8;
     }
     return b;
+  }
+
+  /// Applies \p fn to \p rec in place, keeping \p leaf's occupancy.
+  template <typename Fn>
+  void MutateInLeaf(Node* leaf, Record* rec, Fn& fn) {
+    const std::size_t before = InNodeBytes(*rec);
+    fn(rec);
+    leaf->bytes = leaf->bytes - before + InNodeBytes(*rec);
   }
 
   static typename std::vector<Record>::iterator LowerBound(
@@ -531,20 +539,31 @@ class BTree {
   };
 
   void InsertRecord(Record rec) {
-    const Key key = rec.key();
-    SplitResult top = InsertRec(root_.get(), std::move(rec));
-    if (top.split) {
-      auto new_root = std::make_unique<Node>(/*leaf=*/false,
-                                             pager_->Allocate());
-      new_root->seps.push_back(top.sep);
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(top.right));
-      root_ = std::move(new_root);
-      ++height_;
-      pager_->NoteWrite(root_->page);
-    }
+    GrowRootOn(InsertRec(root_.get(), std::move(rec)));
     ++num_records_;
-    (void)key;
+  }
+
+  /// A split reached the root: a new root above the two halves.
+  void GrowRootOn(SplitResult top) {
+    if (!top.split) return;
+    auto new_root = std::make_unique<Node>(/*leaf=*/false, pager_->Allocate());
+    new_root->bytes = SepBytes(top.sep) + 8;
+    new_root->seps.push_back(std::move(top.sep));
+    new_root->children.push_back(std::move(root_));
+    new_root->children.push_back(std::move(top.right));
+    root_ = std::move(new_root);
+    ++height_;
+    pager_->NoteWrite(root_->page);
+  }
+
+  /// Adds the separator and right half of \p child_split after child
+  /// \p idx of inner \p node.
+  void InsertSeparator(Node* node, std::size_t idx, SplitResult child_split) {
+    node->bytes += SepBytes(child_split.sep);
+    node->seps.insert(node->seps.begin() + idx, std::move(child_split.sep));
+    node->children.insert(node->children.begin() + idx + 1,
+                          std::move(child_split.right));
+    pager_->NoteWrite(node->page);
   }
 
   SplitResult InsertRec(Node* node, Record rec) {
@@ -552,6 +571,7 @@ class BTree {
       auto it = LowerBound(node->records, rec.key());
       PATHIX_DCHECK(it == node->records.end() || !(it->key() == rec.key()));
       const std::size_t chain = ChainPages(rec);
+      node->bytes += InNodeBytes(rec);
       node->records.insert(it, std::move(rec));
       pager_->NoteWrite(node->page);
       if (chain > 0) {
@@ -565,15 +585,12 @@ class BTree {
     SplitResult child_split =
         InsertRec(node->children[idx].get(), std::move(rec));
     if (!child_split.split) return SplitResult{};
-    node->seps.insert(node->seps.begin() + idx, child_split.sep);
-    node->children.insert(node->children.begin() + idx + 1,
-                          std::move(child_split.right));
-    pager_->NoteWrite(node->page);
+    InsertSeparator(node, idx, std::move(child_split));
     return MaybeSplit(node);
   }
 
   SplitResult MaybeSplit(Node* node) {
-    if (NodeBytes(node) <= pager_->page_size()) return SplitResult{};
+    if (node->bytes <= pager_->page_size()) return SplitResult{};
     const std::size_t count =
         node->leaf ? node->records.size() : node->children.size();
     if (count < 2) return SplitResult{};  // a single stub may exceed a page
@@ -599,6 +616,8 @@ class BTree {
       node->seps.resize(mid - 1);
       node->children.resize(mid);
     }
+    node->bytes = CountNodeBytes(node);
+    out.right->bytes = CountNodeBytes(out.right.get());
     pager_->NoteWrite(node->page);
     pager_->NoteWrite(out.right->page);
     return out;
@@ -608,17 +627,7 @@ class BTree {
   /// affected leaf's split through the root path. Simplest correct
   /// approach: locate the leaf and split upward via a fresh descent.
   void RebalanceAfterGrowth(const Key& key) {
-    SplitResult top = SplitPathRec(root_.get(), key);
-    if (top.split) {
-      auto new_root =
-          std::make_unique<Node>(/*leaf=*/false, pager_->Allocate());
-      new_root->seps.push_back(top.sep);
-      new_root->children.push_back(std::move(root_));
-      new_root->children.push_back(std::move(top.right));
-      root_ = std::move(new_root);
-      ++height_;
-      pager_->NoteWrite(root_->page);
-    }
+    GrowRootOn(SplitPathRec(root_.get(), key));
   }
 
   SplitResult SplitPathRec(Node* node, const Key& key) {
@@ -627,10 +636,7 @@ class BTree {
     const std::size_t idx = cit - node->seps.begin();
     SplitResult child_split = SplitPathRec(node->children[idx].get(), key);
     if (!child_split.split) return SplitResult{};
-    node->seps.insert(node->seps.begin() + idx, child_split.sep);
-    node->children.insert(node->children.begin() + idx + 1,
-                          std::move(child_split.right));
-    pager_->NoteWrite(node->page);
+    InsertSeparator(node, idx, std::move(child_split));
     return MaybeSplit(node);
   }
 
@@ -665,6 +671,9 @@ class BTree {
 
   Status ValidateNode(const Node* node, int depth, int* leaf_depth,
                       const Key** prev) const {
+    if (node->bytes != CountNodeBytes(node)) {
+      return Status::Internal("node occupancy differs from its contents");
+    }
     if (node->leaf) {
       if (*leaf_depth == -1) *leaf_depth = depth;
       if (*leaf_depth != depth) {
@@ -677,8 +686,7 @@ class BTree {
         }
         *prev = &r.key();
       }
-      if (node->records.size() > 1 &&
-          NodeBytes(node) > pager_->page_size()) {
+      if (node->records.size() > 1 && node->bytes > pager_->page_size()) {
         return Status::Internal("leaf overflows a page");
       }
       return Status::OK();

@@ -54,14 +54,4 @@ std::string Key::ToString() const {
   return "?";
 }
 
-std::strong_ordering Key::operator<=>(const Key& other) const {
-  if (kind_ != other.kind_) return kind_ <=> other.kind_;
-  if (kind_ == Kind::kString) return str_ <=> other.str_;
-  return int_ <=> other.int_;
-}
-
-bool Key::operator==(const Key& other) const {
-  return (*this <=> other) == std::strong_ordering::equal;
-}
-
 }  // namespace pathix

@@ -30,8 +30,17 @@ class Key {
 
   std::string ToString() const;
 
-  std::strong_ordering operator<=>(const Key& other) const;
-  bool operator==(const Key& other) const;
+  /// Kind first (oid < int < string), then the value. Inline: every
+  /// separator, leaf-record and walk comparison of the B-trees goes here.
+  std::strong_ordering operator<=>(const Key& other) const {
+    if (kind_ != other.kind_) return kind_ <=> other.kind_;
+    if (kind_ == Kind::kString) return str_ <=> other.str_;
+    return int_ <=> other.int_;
+  }
+  bool operator==(const Key& other) const {
+    if (kind_ != other.kind_) return false;
+    return kind_ == Kind::kString ? str_ == other.str_ : int_ == other.int_;
+  }
 
   bool is_oid() const { return kind_ == Kind::kOid; }
   Oid oid() const { return static_cast<Oid>(int_); }

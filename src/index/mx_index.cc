@@ -26,10 +26,9 @@ void MXIndex::BuildImpl(const ObjectStore& store) {
     const std::string& attr = ctx_.attr_name(l);
     for (ClassId cls : ctx_.hierarchy(l)) {
       AttrIndex* tree = trees_.at({l, cls}).get();
-      for (Oid oid : store.PeekAll(cls)) {
-        const Object* obj = store.Peek(oid);
+      for (const auto& obj : store.PeekAllRefs(cls)) {
         for (const Value& v : obj->values(attr)) {
-          tree->AddEntryUncounted(Key::FromValue(v), cls, oid);
+          tree->AddEntry(Key::FromValue(v), cls, obj->oid);
         }
       }
     }

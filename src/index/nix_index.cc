@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <span>
+#include <unordered_map>
+#include <utility>
 
 namespace pathix {
 
@@ -104,58 +107,161 @@ NIXIndex::ReachSet NIXIndex::ComputeReach(const Object& obj, int level) {
 
 // --------------------------------------------------------------- build
 
-void NIXIndex::BuildImpl(const ObjectStore& store) {
-  // Ground-truth reachability per object, bottom-up; parents via the
-  // forward references of the level above.
-  std::unordered_map<Oid, ReachSet> reach;
-  std::unordered_map<Oid, std::vector<Oid>> parents;
+namespace {
 
-  for (int l = ctx_.range.end; l >= ctx_.range.start; --l) {
+/// One (value, numchild) entry of an object's reach set during a build:
+/// \p value indexes the build's sorted distinct ending values, so a reach
+/// set sorted by it is in key order.
+struct ReachEntry {
+  std::uint32_t value;
+  std::int32_t numchild;
+};
+
+/// Sorts \p values and appends one entry per distinct value, its count as
+/// numchild, to \p out.
+void AppendCounted(std::vector<std::uint32_t>* values,
+                   std::vector<ReachEntry>* out) {
+  std::sort(values->begin(), values->end());
+  for (std::size_t i = 0; i < values->size();) {
+    std::size_t j = i + 1;
+    while (j < values->size() && (*values)[j] == (*values)[i]) ++j;
+    out->push_back(ReachEntry{(*values)[i], static_cast<std::int32_t>(j - i)});
+    i = j;
+  }
+}
+
+}  // namespace
+
+void NIXIndex::BuildImpl(const ObjectStore& store) {
+  // The scope's objects per level, class by class, each list read once
+  // under its shard lock and kept for both passes.
+  struct ClassObjects {
+    ClassId cls;
+    std::vector<std::shared_ptr<const Object>> objects;
+  };
+  const auto level_index = [&](int l) {
+    return static_cast<std::size_t>(l - ctx_.range.start);
+  };
+  std::vector<std::vector<ClassObjects>> scope(
+      level_index(ctx_.range.end) + 1);
+  for (int l = ctx_.range.start; l <= ctx_.range.end; ++l) {
     for (ClassId cls : ctx_.hierarchy(l)) {
-      for (Oid oid : store.PeekAll(cls)) {
-        const Object* obj = store.Peek(oid);
-        if (l == ctx_.range.end) {
-          reach[oid] = ComputeReachFromStore(store, *obj, l);
-        } else {
-          ReachSet mine;
-          for (Oid child : obj->refs(ctx_.attr_name(l))) {
-            auto it = reach.find(child);
-            if (it == reach.end()) continue;
-            for (const auto& [key, nc] : it->second) {
-              (void)nc;
-              mine[key] += 1;
-            }
-            parents[child].push_back(oid);
-          }
-          reach[oid] = std::move(mine);
-        }
-      }
+      scope[level_index(l)].push_back(
+          ClassObjects{cls, store.PeekAllRefs(cls)});
     }
   }
 
-  for (int l = ctx_.range.start; l <= ctx_.range.end; ++l) {
-    for (ClassId cls : ctx_.hierarchy(l)) {
-      for (Oid oid : store.PeekAll(cls)) {
-        const ReachSet& mine = reach[oid];
-        for (const auto& [key, nc] : mine) {
-          // PeekAll is not in oid order once slots are reused, so the
-          // posting goes to its place in the record, not to the end.
-          primary_.UpsertUncounted(
-              key, [&] { return MakePostingRecord(key); },
-              [&](PostingRecord* rec) { rec->AddOrBump(cls, oid, nc); });
+  // The ending values each ending-level object reaches, in object order,
+  // and the sorted distinct ones, which reach sets name by index. A
+  // reference to a deleted object is dangling — its key record was dropped
+  // by the boundary deletion (Definition 4.2) — and is not reachable.
+  const std::string& end_attr = ctx_.attr_name(ctx_.range.end);
+  std::vector<Key> end_keys;
+  std::vector<std::size_t> end_counts;
+  for (const ClassObjects& c : scope[level_index(ctx_.range.end)]) {
+    for (const auto& obj : c.objects) {
+      const std::size_t before = end_keys.size();
+      for (const Value& v : obj->values(end_attr)) {
+        if (v.kind() == Value::Kind::kRef && !store.Contains(v.as_ref())) {
+          continue;
         }
-        if (HasAuxTuple(l)) {
-          const Key akey = Key::FromOid(oid);
-          aux_.UpsertUncounted(
-              akey, [&] { return MakeAuxRecord(oid); },
-              [&](AuxRecord* tuple) {
-                for (const auto& [key, nc] : mine) {
-                  (void)nc;
-                  tuple->primary_keys.insert(key);
-                }
-                tuple->parents = parents[oid];
+        end_keys.push_back(Key::FromValue(v));
+      }
+      end_counts.push_back(end_keys.size() - before);
+    }
+  }
+  std::vector<Key> values = end_keys;
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+
+  // Ground-truth reachability per object, bottom-up: each reach set is a
+  // run of `entries` sorted by value (so in key order), built by sorting
+  // and counting the values it reaches. Parents come from the forward
+  // references of the level above, as (child, parent) links in discovery
+  // order.
+  struct Run {
+    std::size_t begin;
+    std::size_t size;
+  };
+  std::vector<ReachEntry> entries;
+  std::unordered_map<Oid, Run> reach;
+  std::vector<std::pair<Oid, Oid>> links;
+  std::vector<std::uint32_t> scratch;
+  std::size_t next_end_key = 0;
+  std::size_t next_end_object = 0;
+  for (int l = ctx_.range.end; l >= ctx_.range.start; --l) {
+    const std::string& attr = ctx_.attr_name(l);
+    for (const ClassObjects& c : scope[level_index(l)]) {
+      for (const auto& obj : c.objects) {
+        scratch.clear();
+        if (l == ctx_.range.end) {
+          for (std::size_t n = end_counts[next_end_object++]; n > 0; --n) {
+            scratch.push_back(static_cast<std::uint32_t>(
+                std::lower_bound(values.begin(), values.end(),
+                                 end_keys[next_end_key++]) -
+                values.begin()));
+          }
+        } else {
+          for (const Value& v : obj->values(attr)) {
+            if (v.kind() != Value::Kind::kRef) continue;
+            const auto it = reach.find(v.as_ref());
+            if (it == reach.end()) continue;
+            // numchild counts children, not paths: a child's run lists
+            // each of its values once.
+            for (std::size_t i = 0; i < it->second.size; ++i) {
+              scratch.push_back(entries[it->second.begin + i].value);
+            }
+            links.emplace_back(v.as_ref(), obj->oid);
+          }
+        }
+        const std::size_t begin = entries.size();
+        AppendCounted(&scratch, &entries);
+        reach[obj->oid] = Run{begin, entries.size() - begin};
+      }
+    }
+  }
+  const auto by_child = [](const std::pair<Oid, Oid>& a,
+                           const std::pair<Oid, Oid>& b) {
+    return a.first < b.first;
+  };
+  std::stable_sort(links.begin(), links.end(), by_child);
+
+  // Top-down, in the store's order: every reached primary record gains the
+  // object's posting, in key order, and a non-root object gets its 3-tuple.
+  // Neither the hierarchy's class order nor the store's order (concurrent
+  // inserts can append out of oid order) need be the postings' (cls, oid)
+  // order, so the posting goes to its place in the record, not to the end.
+  for (int l = ctx_.range.start; l <= ctx_.range.end; ++l) {
+    for (const ClassObjects& c : scope[level_index(l)]) {
+      for (const auto& obj : c.objects) {
+        const Oid oid = obj->oid;
+        const Run run = reach.at(oid);
+        const std::span<const ReachEntry> mine =
+            std::span<const ReachEntry>(entries).subspan(run.begin, run.size);
+        for (const ReachEntry& e : mine) {
+          const Key& key = values[e.value];
+          primary_.Upsert(
+              key, [&] { return MakePostingRecord(key); },
+              [&](PostingRecord* rec) {
+                rec->AddOrBump(c.cls, oid, e.numchild);
               });
         }
+        if (!HasAuxTuple(l)) continue;
+        const auto parents = std::equal_range(
+            links.begin(), links.end(), std::pair<Oid, Oid>{oid, 0}, by_child);
+        aux_.Upsert(
+            Key::FromOid(oid), [&] { return MakeAuxRecord(oid); },
+            [&](AuxRecord* tuple) {
+              for (const ReachEntry& e : mine) {
+                tuple->primary_keys.insert(tuple->primary_keys.end(),
+                                           values[e.value]);
+              }
+              tuple->parents.clear();
+              for (auto link = parents.first; link != parents.second;
+                   ++link) {
+                tuple->parents.push_back(link->second);
+              }
+            });
       }
     }
   }

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "index/btree.h"
 #include "index/subpath_index.h"

@@ -12,12 +12,6 @@ PostingRecord MakeRecord(const Key& key) {
 
 }  // namespace
 
-void AttrIndex::AddEntryUncounted(const Key& key, ClassId cls, Oid oid) {
-  tree_.UpsertUncounted(
-      key, [&] { return MakeRecord(key); },
-      [&](PostingRecord* rec) { rec->AddOrBump(cls, oid, 1); });
-}
-
 void AttrIndex::AddEntry(const Key& key, ClassId cls, Oid oid) {
   tree_.Upsert(
       key, [&] { return MakeRecord(key); },

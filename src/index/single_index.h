@@ -19,10 +19,8 @@ class AttrIndex {
   AttrIndex(Pager* pager, std::string name)
       : tree_(pager, std::move(name)) {}
 
-  /// Registers (key -> oid of cls); uncounted (index build).
-  void AddEntryUncounted(const Key& key, ClassId cls, Oid oid);
-
-  /// Counted maintenance: adds / removes one posting.
+  /// Counted maintenance (and index builds, under their excluded frame):
+  /// adds / removes one posting.
   void AddEntry(const Key& key, ClassId cls, Oid oid);
   void RemoveEntry(const Key& key, ClassId cls, Oid oid);
 

@@ -50,14 +50,16 @@ bool StrictlyIncreasing(const std::vector<Key>& keys);
 
 /// \brief A physical index on one subpath.
 ///
-/// Page traffic of Probe/On* calls is counted through the Pager. Build's
-/// construction work is uncounted (index creation is never part of a
-/// replay's measured pages), but its *bulk-build* page traffic — one read
-/// of every segment page in the subpath's scope, one write per structure
-/// page — is routed through the pager in an excluded ScopedAccessProbe and
-/// kept as build_io(): the measured counterpart of the transition model's
-/// analytic scan + write estimate, which the reconfiguration controllers
-/// record next to the modeled price of every committed switch.
+/// Page traffic of Probe/On* calls is counted through the Pager. Build runs
+/// inside one excluded ScopedAccessProbe (index creation is never part of
+/// a replay's measured pages): the construction's upserts and the
+/// *bulk-build* charge — one read of every segment page in the subpath's
+/// scope, one write per structure page — are measured into the pager's
+/// kBuild tally, charged nowhere, and folded once when the build ends. The
+/// bulk-build charge alone is kept as build_io(): the measured counterpart
+/// of the transition model's analytic scan + write estimate, which the
+/// reconfiguration controllers record next to the modeled price of every
+/// committed switch.
 class SubpathIndex {
  public:
   virtual ~SubpathIndex() = default;
@@ -68,10 +70,11 @@ class SubpathIndex {
 
   /// Populates the index from a loaded store and records build_io().
   void Build(const ObjectStore& store) {
-    BuildImpl(store);
     ScopedAccessProbe probe(pager_, PageOpKind::kBuild, {}, /*exclude=*/true);
+    BuildImpl(store);
+    const AccessStats constructed = probe.Delta();
     ChargeBuildIo(store);
-    build_io_ = probe.Delta();
+    build_io_ = probe.Delta() - constructed;
   }
 
   /// Measured page I/O of the last Build() (zero before any build).
@@ -108,7 +111,8 @@ class SubpathIndex {
   SubpathIndex(Pager* pager, SubpathIndexContext ctx)
       : pager_(pager), ctx_(std::move(ctx)) {}
 
-  /// The organization-specific construction (uncounted, as before).
+  /// The organization-specific construction, through the counted tree
+  /// operations (Build's excluded frame keeps their traffic uncharged).
   virtual void BuildImpl(const ObjectStore& store) = 0;
 
   /// Charges the measured bulk-build I/O through the pager: the default

@@ -43,6 +43,10 @@ bool ScopedAnalyzer::Refresh(const SimDatabase& db,
   }
   if (drifted.empty()) return false;
 
+  // Its own span inside the drift check, so a trace splits the check into
+  // ANALYZE, the re-solve and the part builds.
+  obs::ObsSpan span(&obs::GlobalTracer(), "scoped_analyze", "controller");
+  span.AddArg("classes", static_cast<double>(drifted.size()));
   if (!has_catalog_) {
     PhysicalParams params = options.physical_params;
     params.page_size = static_cast<double>(db.pager().page_size());

@@ -117,25 +117,6 @@ double WorkloadMonitor::DecayedTotalLocked() const {
   return total;
 }
 
-LoadDistribution WorkloadMonitor::EstimatedLoad() const {
-  MutexLock lock(&mu_);
-  Drain();
-  LoadDistribution load;
-  const double total = DecayedTotalLocked();
-  if (total <= 0) return load;
-  std::unordered_map<ClassId, OpLoad> merged;
-  for (const auto& [path, by_class] : queries_) {
-    (void)path;
-    for (const auto& [cls, e] : by_class) merged[cls].query += Folded(e);
-  }
-  for (const auto& [cls, e] : inserts_) merged[cls].insert += Folded(e);
-  for (const auto& [cls, e] : deletes_) merged[cls].del += Folded(e);
-  for (const auto& [cls, l] : merged) {
-    load.Set(cls, l.query / total, l.insert / total, l.del / total);
-  }
-  return load;
-}
-
 MonitorSnapshot WorkloadMonitor::Snapshot(
     const std::vector<PathId>& paths,
     const std::vector<std::set<ClassId>>& scopes) const {
@@ -173,19 +154,6 @@ MonitorSnapshot WorkloadMonitor::Snapshot(
     }
   }
   return snap;
-}
-
-double WorkloadMonitor::MeasuredNaiveQueryPagesPerOp() const {
-  MutexLock lock(&mu_);
-  Drain();
-  const double total = DecayedTotalLocked();
-  if (total <= 0) return 0;
-  double pages = 0;
-  for (const auto& [path, e] : naive_pages_) {
-    (void)path;
-    pages += Folded(e);
-  }
-  return pages / total;
 }
 
 void WorkloadMonitor::ExportMetrics(obs::MetricsRegistry* registry) const {

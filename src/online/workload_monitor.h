@@ -111,16 +111,6 @@ class WorkloadMonitor {
   /// the database).
   std::uint64_t Observe(const DbOpEvent& ev) EXCLUDES(mu_);
 
-  /// The all-paths estimate, normalized so all frequencies sum to 1 (every
-  /// query, whatever path it names, plus every update). Empty (all-zero)
-  /// until the first observation.
-  LoadDistribution EstimatedLoad() const EXCLUDES(mu_);
-
-  /// Decayed measured pages of naive-scan queries on every path per
-  /// observed operation (MonitorSnapshot::naive_pages_per_op summed over
-  /// all paths).
-  double MeasuredNaiveQueryPagesPerOp() const EXCLUDES(mu_);
-
   /// The estimates for the workload's paths \p paths, path i with the
   /// update classes \p scopes[i], all from one drain: every estimate is
   /// normalized at one op count, so the shared update frequencies are the

@@ -171,6 +171,30 @@ std::vector<Oid> ObjectStore::PeekAll(ClassId cls) const {
   return out;
 }
 
+std::vector<std::shared_ptr<const Object>> ObjectStore::PeekAllRefs(
+    ClassId cls) const {
+  std::vector<std::shared_ptr<const Object>> out;
+  Shard* shard = FindShard(cls);
+  if (shard == nullptr) return out;
+  ReaderMutexLock lock(&shard->mu);
+  out.reserve(shard->objects.size());
+  for (const SegmentPage& page : shard->pages) {
+    for (Oid oid : page.oids) {
+      // A page lists exactly the shard's objects: both change together
+      // under the shard mutex.
+      const auto it = shard->objects.find(oid);
+      PATHIX_DCHECK(it != shard->objects.end());
+      out.push_back(it->second);
+    }
+  }
+  return out;
+}
+
+bool ObjectStore::Contains(Oid oid) const {
+  ReaderMutexLock lock(&loc_mu_);
+  return locations_.count(oid) > 0;
+}
+
 std::size_t ObjectStore::LiveCount(ClassId cls) const {
   Shard* shard = FindShard(cls);
   if (shard == nullptr) return 0;

@@ -360,17 +360,17 @@ TEST(ConcurrentSmokeTest, WorkloadMonitorObserveAndEstimate) {
   constexpr std::uint64_t kOpsPerThread = 2000;
   WorkloadMonitor monitor(/*half_life_ops=*/256);
   std::vector<std::vector<std::uint64_t>> assigned(kThreads);
-  RunInParallel(kThreads, [&monitor, &assigned](int t) {
+  // The anonymous stream (path "") with every observed class's updates.
+  std::set<ClassId> classes;
+  for (int t = 0; t < kThreads; ++t) classes.insert(static_cast<ClassId>(t));
+  RunInParallel(kThreads, [&monitor, &assigned, &classes](int t) {
     for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
       const DbOpKind kind = i % 3 == 0   ? DbOpKind::kQuery
                             : i % 3 == 1 ? DbOpKind::kInsert
                                          : DbOpKind::kDelete;
       assigned[static_cast<std::size_t>(t)].push_back(
           monitor.Observe({kind, static_cast<ClassId>(t), {}, false, {}}));
-      if (i % 64 == 0) {
-        (void)monitor.EstimatedLoad();
-        (void)monitor.MeasuredNaiveQueryPagesPerOp();
-      }
+      if (i % 64 == 0) (void)monitor.Snapshot({""}, {classes});
     }
   });
   const MonitorSnapshot snap = monitor.Snapshot({}, {});
@@ -443,8 +443,6 @@ void ExpectMonitorMatchesSortedReplay(double half_life_ops,
   const MonitorSnapshot got_snap = monitor.Snapshot(paths, scopes);
   const MonitorSnapshot want_snap = replay.Snapshot(paths, scopes);
   expect_close(got_snap.decayed_total, want_snap.decayed_total);
-  expect_close(monitor.MeasuredNaiveQueryPagesPerOp(),
-               replay.MeasuredNaiveQueryPagesPerOp());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     expect_close(got_snap.naive_pages_per_op[i],
                  want_snap.naive_pages_per_op[i]);
@@ -455,11 +453,6 @@ void ExpectMonitorMatchesSortedReplay(double half_life_ops,
       expect_close(got.Get(cls).insert, want.Get(cls).insert);
       expect_close(got.Get(cls).del, want.Get(cls).del);
     }
-  }
-  const LoadDistribution got = monitor.EstimatedLoad();
-  const LoadDistribution want = replay.EstimatedLoad();
-  for (ClassId cls : scope) {
-    expect_close(got.Get(cls).query, want.Get(cls).query);
   }
 }
 

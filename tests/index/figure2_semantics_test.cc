@@ -67,7 +67,7 @@ TEST_F(Figure2Fixture, SIXIndexesOneClassOnly) {
   AttrIndex six(&db_.pager(), "six.color");
   for (Oid oid : db_.store().PeekAll(setup_.vehicle)) {
     for (const Value& v : db_.store().Peek(oid)->values("color")) {
-      six.AddEntryUncounted(Key::FromValue(v), setup_.vehicle, oid);
+      six.AddEntry(Key::FromValue(v), setup_.vehicle, oid);
     }
   }
   const std::vector<Posting> white = six.Lookup(Key::FromString("White"));
@@ -86,7 +86,7 @@ TEST_F(Figure2Fixture, IIXCoversTheWholeHierarchy) {
   for (ClassId cls : setup_.schema.HierarchyOf(setup_.vehicle)) {
     for (Oid oid : db_.store().PeekAll(cls)) {
       for (const Value& v : db_.store().Peek(oid)->values("color")) {
-        iix.AddEntryUncounted(Key::FromValue(v), cls, oid);
+        iix.AddEntry(Key::FromValue(v), cls, oid);
       }
     }
   }

@@ -12,6 +12,7 @@
 #include "datagen/generator.h"
 #include "datagen/paper_schema.h"
 #include "exec/analyze.h"
+#include "obs/trace.h"
 #include "online/joint_controller.h"
 #include "online/transition_cost.h"
 #include "serve/serve_driver.h"
@@ -220,6 +221,30 @@ TEST(ControllerTest, ScopedAnalyzeRecollectsOnlyDriftedClasses) {
   for (int i = 0; i < 10; ++i) inst.db.Insert(inst.setup.vehicle, {});
   controller.CheckNow();
   EXPECT_EQ(controller.analyzer().class_collections(), 7u);
+}
+
+TEST(ControllerTest, ScopedAnalyzeSpanCarriesTheClassesCollected) {
+  Instance inst;
+  JointReconfigurationController controller(&inst.db);
+  obs::Tracer& tracer = obs::GlobalTracer();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  controller.CheckNow();  // the first collection: all six scope classes
+  controller.CheckNow();  // nothing drifted: no ANALYZE, no span
+  for (int i = 0; i < 1000; ++i) inst.db.Insert(inst.setup.person, {});
+  controller.CheckNow();  // Person alone
+  tracer.SetEnabled(false);
+  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
+  tracer.Clear();
+
+  std::vector<double> classes;
+  for (const obs::TraceEvent& ev : events) {
+    if (ev.name != "scoped_analyze" || ev.phase != 'E') continue;
+    for (const auto& [key, value] : ev.num_args) {
+      if (key == "classes") classes.push_back(value);
+    }
+  }
+  EXPECT_EQ(classes, (std::vector<double>{6, 1}));
 }
 
 TEST(ControllerTest, HysteresisBlocksMarginalSwitches) {

@@ -28,13 +28,18 @@ MonitorSnapshot SnapshotOf(const WorkloadMonitor& monitor,
                           std::vector<std::set<ClassId>>(paths.size()));
 }
 
+// The anonymous stream's estimate (path ""), with both classes' updates.
+LoadDistribution AnonymousLoad(const WorkloadMonitor& monitor) {
+  return monitor.Snapshot({""}, {{kA, kB}}).loads[0];
+}
+
 TEST(WorkloadMonitorTest, EmptyMonitorEstimatesZero) {
   WorkloadMonitor monitor;
   const MonitorSnapshot snap = SnapshotOf(monitor, {"p"});
   EXPECT_EQ(snap.op_index, 0u);
   EXPECT_DOUBLE_EQ(snap.decayed_total, 0.0);
   EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[0], 0.0);
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = AnonymousLoad(monitor);
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.0);
 }
 
@@ -46,7 +51,7 @@ TEST(WorkloadMonitorTest, StationaryStreamConvergesToMixProportions) {
     for (int i = 0; i < 3; ++i) monitor.Observe(kInsertB);
     monitor.Observe(kDeleteB);
   }
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = AnonymousLoad(monitor);
   EXPECT_NEAR(load.Get(kA).query, 0.6, 0.05);
   EXPECT_NEAR(load.Get(kB).insert, 0.3, 0.05);
   EXPECT_NEAR(load.Get(kB).del, 0.1, 0.05);
@@ -61,7 +66,7 @@ TEST(WorkloadMonitorTest, PhaseShiftForgetsOldTrafficWithinHalfLives) {
   for (int i = 0; i < 1000; ++i) monitor.Observe(kQueryA);
   // Shift: pure B-inserts. After 10 half-lives the A weight is ~2^-10.
   for (int i = 0; i < 320; ++i) monitor.Observe(kInsertB);
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = AnonymousLoad(monitor);
   EXPECT_GT(load.Get(kB).insert, 0.97);
   EXPECT_LT(load.Get(kA).query, 0.03);
 }
@@ -71,19 +76,19 @@ TEST(WorkloadMonitorTest, NoDecayCountsPlainly) {
   for (int i = 0; i < 30; ++i) monitor.Observe(kQueryA);
   for (int i = 0; i < 10; ++i) monitor.Observe(kInsertB);
   EXPECT_DOUBLE_EQ(SnapshotOf(monitor).decayed_total, 40.0);
-  const LoadDistribution load = monitor.EstimatedLoad();
+  const LoadDistribution load = AnonymousLoad(monitor);
   EXPECT_DOUBLE_EQ(load.Get(kA).query, 0.75);
   EXPECT_DOUBLE_EQ(load.Get(kB).insert, 0.25);
 }
 
 TEST(WorkloadMonitorTest, ResetClearsState) {
   WorkloadMonitor monitor;
-  monitor.Observe(kQueryA);
+  monitor.Observe({DbOpKind::kQuery, kA, "p", true, AccessStats{7, 0, 0}});
   monitor.Reset();
-  const MonitorSnapshot snap = SnapshotOf(monitor);
+  const MonitorSnapshot snap = SnapshotOf(monitor, {"p"});
   EXPECT_EQ(snap.op_index, 0u);
   EXPECT_DOUBLE_EQ(snap.decayed_total, 0.0);
-  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(), 0.0);
+  EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[0], 0.0);
 }
 
 TEST(WorkloadMonitorTest, PricesNaiveScanPagesPerOperation) {
@@ -97,7 +102,6 @@ TEST(WorkloadMonitorTest, PricesNaiveScanPagesPerOperation) {
   const MonitorSnapshot snap = SnapshotOf(monitor, {"p", "q"});
   EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[0], 50.0);
   EXPECT_DOUBLE_EQ(snap.naive_pages_per_op[1], 0.0);
-  EXPECT_DOUBLE_EQ(monitor.MeasuredNaiveQueryPagesPerOp(), 50.0);
 }
 
 TEST(WorkloadMonitorTest, NaivePagesDecayLikeTheCounts) {
@@ -158,12 +162,8 @@ void ExpectSameEstimates(const WorkloadMonitor& a, const WorkloadMonitor& b) {
   EXPECT_EQ(sa.op_index, sb.op_index);
   EXPECT_EQ(sa.decayed_total, sb.decayed_total);
   EXPECT_EQ(sa.naive_pages_per_op, sb.naive_pages_per_op);
-  EXPECT_EQ(a.MeasuredNaiveQueryPagesPerOp(),
-            b.MeasuredNaiveQueryPagesPerOp());
-  const LoadDistribution loads[][2] = {
-      {a.EstimatedLoad(), b.EstimatedLoad()},
-      {sa.loads[0], sb.loads[0]},
-      {sa.loads[1], sb.loads[1]}};
+  const LoadDistribution loads[][2] = {{sa.loads[0], sb.loads[0]},
+                                       {sa.loads[1], sb.loads[1]}};
   for (const auto& pair : loads) {
     for (ClassId cls : scope) {
       EXPECT_EQ(pair[0].Get(cls).query, pair[1].Get(cls).query) << cls;
@@ -184,9 +184,7 @@ TEST(WorkloadMonitorTest, EstimatesDoNotDependOnWhenReadsDrain) {
   for (const DbOpEvent& ev : events) {
     every_op.Observe(ev);
     at_end.Observe(ev);
-    (void)every_op.EstimatedLoad();
     (void)every_op.Snapshot({"p", "q"}, {scope, {}});
-    (void)every_op.MeasuredNaiveQueryPagesPerOp();
   }
   ExpectSameEstimates(every_op, at_end);
   const MonitorSnapshot snap = SnapshotOf(at_end, {"p", "q"});

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "storage/object_store.h"
 
 namespace pathix {
@@ -366,6 +369,32 @@ TEST_F(ObjectStoreTest, PeekIsUncounted) {
   const Oid a = Put(0, 1);
   pager_.ResetStats();
   ASSERT_NE(store_.Peek(a), nullptr);
+  EXPECT_EQ(pager_.stats().total(), 0u);
+}
+
+TEST_F(ObjectStoreTest, PeekAllRefsListsPeekAllsObjectsInItsOrder) {
+  std::vector<Oid> oids;
+  for (int i = 0; i < 50; ++i) oids.push_back(Put(0, i));
+  Put(1, 99);
+  for (std::size_t i = 0; i < oids.size(); i += 3) {
+    ASSERT_TRUE(store_.Delete(oids[i]).ok());
+  }
+  for (int i = 0; i < 10; ++i) Put(0, 100 + i);
+  pager_.ResetStats();
+
+  const std::vector<Oid> want = store_.PeekAll(0);
+  const std::vector<std::shared_ptr<const Object>> got =
+      store_.PeekAllRefs(0);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i]->oid, want[i]) << i;
+    EXPECT_EQ(got[i].get(), store_.Peek(want[i])) << i;
+  }
+  EXPECT_TRUE(store_.PeekAllRefs(7).empty());  // a class never stored
+
+  EXPECT_TRUE(store_.Contains(oids[1]));
+  EXPECT_FALSE(store_.Contains(oids[0]));  // deleted
+  EXPECT_FALSE(store_.Contains(kInvalidOid));
   EXPECT_EQ(pager_.stats().total(), 0u);
 }
 
