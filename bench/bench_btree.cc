@@ -15,6 +15,7 @@
 #include "exec/analyze.h"
 #include "exec/database.h"
 #include "index/btree.h"
+#include "index/none_index.h"
 
 namespace {
 
@@ -205,8 +206,10 @@ void BM_IndexedPathQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedPathQuery);
 
+/// One naive query per iteration, at scale 1 (2,000 people) and at the
+/// build rows' scale (20,000, as many as perfbench populates).
 void BM_NaivePathQuery(benchmark::State& state) {
-  SimFixtureState s;
+  SimFixtureState s(static_cast<int>(state.range(0)));
   CheckOk(s.db.ConfigureIndexes(
       kPeople, IndexConfiguration({{Subpath{1, 4}, IndexOrg::kMIX}})));
   int i = 0;
@@ -216,7 +219,28 @@ void BM_NaivePathQuery(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_NaivePathQuery);
+BENCHMARK(BM_NaivePathQuery)->ArgName("scale")->Arg(1)->Arg(kBuildScale);
+
+/// One probe per iteration of a NONE part over (1,3), Person.owns.man.divs,
+/// keyed by one Division oid (they rotate), on the build rows' population:
+/// the walk a NONE part makes for a query whose last part is indexed.
+void BM_NoneProbe(benchmark::State& state) {
+  SimFixtureState s(kBuildScale);
+  NoneIndex part(&s.db.pager(), SubpathIndexContext{&s.setup.schema,
+                                                    &s.setup.path,
+                                                    Subpath{1, 3}});
+  part.Build(s.db.store());
+  const std::vector<Oid> divisions = s.db.store().PeekAll(s.setup.division);
+  const std::vector<ClassId> people = {s.setup.person};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::vector<Key> keys = {
+        Key::FromOid(divisions[i++ % divisions.size()])};
+    benchmark::DoNotOptimize(part.Probe(keys, 1, people));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NoneProbe);
 
 void BM_NIXMaintenanceInsert(benchmark::State& state) {
   SimFixtureState s;

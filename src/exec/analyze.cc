@@ -15,15 +15,14 @@ ClassStats CollectClassStats(const ObjectStore& store, ClassId cls,
                              const std::string& attr) {
   // Owning references, listed under one shard lock: ANALYZE runs on the
   // controller's thread while serving workers delete concurrently.
-  const std::vector<std::shared_ptr<const Object>> objects =
-      store.PeekAllRefs(cls);
+  const std::vector<PlacedObject> objects = store.PeekAllPlaced(cls);
   ClassStats stats;
   stats.n = static_cast<double>(objects.size());
   std::vector<Key> values;
   double total_bytes = 0;
-  for (const std::shared_ptr<const Object>& obj : objects) {
-    total_bytes += static_cast<double>(obj->bytes());
-    for (const Value& v : obj->values(attr)) {
+  for (const PlacedObject& p : objects) {
+    total_bytes += static_cast<double>(p.obj->bytes());
+    for (const Value& v : p.obj->values(attr)) {
       // Dangling references do not select anything; skip them like the
       // evaluators do.
       if (v.kind() == Value::Kind::kRef && !store.Contains(v.as_ref())) {

@@ -1,73 +1,10 @@
 #include "exec/naive_evaluator.h"
 
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <span>
+
+#include "index/path_walk.h"
 
 namespace pathix {
-
-namespace {
-
-class QueryRun {
- public:
-  QueryRun(ObjectStore* store, const Schema* schema, const Path* path,
-           const Key& value, Pager* pager)
-      : store_(store), schema_(schema), path_(path), value_(value),
-        pager_(pager) {}
-
-  bool Reaches(Oid oid, int level) {
-    auto memo = memo_.find(oid);
-    if (memo != memo_.end()) return memo->second;
-    ChargePage(store_->PageOf(oid));
-    // Owning reference: a concurrent delete may unmap the oid mid-walk, but
-    // the object stays alive for the duration of this visit.
-    const std::shared_ptr<const Object> obj = store_->PeekRef(oid);
-    bool hit = false;
-    if (obj != nullptr) {
-      const std::string& attr = path_->attribute_at(level).name;
-      if (level == path_->length()) {
-        for (const Value& v : obj->values(attr)) {
-          if (Key::FromValue(v) == value_) {
-            hit = true;
-            break;
-          }
-        }
-      } else {
-        for (Oid child : obj->refs(attr)) {
-          if (Reaches(child, level + 1)) {
-            hit = true;
-            break;
-          }
-        }
-      }
-    }
-    memo_[oid] = hit;
-    return hit;
-  }
-
-  void ChargeSegment(ClassId cls) {
-    // Scanning the class segment touches every page once.
-    for (Oid oid : store_->PeekAll(cls)) {
-      ChargePage(store_->PageOf(oid));
-    }
-  }
-
- private:
-  void ChargePage(PageId page) {
-    if (page == kInvalidPage) return;
-    if (charged_.insert(page).second) pager_->NoteRead(page);
-  }
-
-  ObjectStore* store_;
-  const Schema* schema_;
-  const Path* path_;
-  Key value_;
-  Pager* pager_;
-  std::unordered_set<PageId> charged_;
-  std::unordered_map<Oid, bool> memo_;
-};
-
-}  // namespace
 
 std::vector<Oid> NaiveEvaluator::Evaluate(const Key& ending_value,
                                           ClassId target_class,
@@ -82,15 +19,19 @@ std::vector<Oid> NaiveEvaluator::Evaluate(const Key& ending_value,
   }
   PATHIX_DCHECK(target_level > 0);
 
-  QueryRun run(store_, schema_, path_, ending_value, pager);
+  PathWalk walk(*store_, *schema_, *path_, target_level, path_->length(),
+                std::span<const Key>(&ending_value, 1),
+                /*skip_dangling=*/false, pager);
   std::vector<ClassId> targets =
       include_subclasses ? schema_->HierarchyOf(target_class)
                          : std::vector<ClassId>{target_class};
   std::vector<Oid> out;
   for (ClassId cls : targets) {
-    run.ChargeSegment(cls);
-    for (Oid oid : store_->PeekAll(cls)) {
-      if (run.Reaches(oid, target_level)) out.push_back(oid);
+    const std::vector<PlacedObject> objects = store_->PeekAllPlaced(cls);
+    // Scanning the class segment touches every page once.
+    for (const PlacedObject& p : objects) walk.Charge(p.page);
+    for (const PlacedObject& p : objects) {
+      if (walk.Reaches(p)) out.push_back(p.obj->oid);
     }
   }
   return out;

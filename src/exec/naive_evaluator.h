@@ -17,8 +17,9 @@ namespace pathix {
 /// \brief Evaluates "A_n = value" with respect to \p target_class by
 /// scanning and navigating.
 ///
-/// Page accounting emulates an unbounded per-query buffer: each data page
-/// is charged once per query, however many objects on it are visited
+/// One PathWalk per query: each class below the target level is read once,
+/// and page accounting emulates an unbounded per-query buffer — each data
+/// page is charged once per query, however many objects on it are visited
 /// (objects shared between parents are memoized).
 class NaiveEvaluator {
  public:

@@ -26,9 +26,9 @@ void MXIndex::BuildImpl(const ObjectStore& store) {
     const std::string& attr = ctx_.attr_name(l);
     for (ClassId cls : ctx_.hierarchy(l)) {
       AttrIndex* tree = trees_.at({l, cls}).get();
-      for (const auto& obj : store.PeekAllRefs(cls)) {
-        for (const Value& v : obj->values(attr)) {
-          tree->AddEntry(Key::FromValue(v), cls, obj->oid);
+      for (const PlacedObject& p : store.PeekAllPlaced(cls)) {
+        for (const Value& v : p.obj->values(attr)) {
+          tree->AddEntry(Key::FromValue(v), cls, p.obj->oid);
         }
       }
     }

@@ -137,7 +137,7 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
   // under its shard lock and kept for both passes.
   struct ClassObjects {
     ClassId cls;
-    std::vector<std::shared_ptr<const Object>> objects;
+    std::vector<PlacedObject> objects;
   };
   const auto level_index = [&](int l) {
     return static_cast<std::size_t>(l - ctx_.range.start);
@@ -147,7 +147,7 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
   for (int l = ctx_.range.start; l <= ctx_.range.end; ++l) {
     for (ClassId cls : ctx_.hierarchy(l)) {
       scope[level_index(l)].push_back(
-          ClassObjects{cls, store.PeekAllRefs(cls)});
+          ClassObjects{cls, store.PeekAllPlaced(cls)});
     }
   }
 
@@ -159,9 +159,9 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
   std::vector<Key> end_keys;
   std::vector<std::size_t> end_counts;
   for (const ClassObjects& c : scope[level_index(ctx_.range.end)]) {
-    for (const auto& obj : c.objects) {
+    for (const PlacedObject& p : c.objects) {
       const std::size_t before = end_keys.size();
-      for (const Value& v : obj->values(end_attr)) {
+      for (const Value& v : p.obj->values(end_attr)) {
         if (v.kind() == Value::Kind::kRef && !store.Contains(v.as_ref())) {
           continue;
         }
@@ -192,7 +192,8 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
   for (int l = ctx_.range.end; l >= ctx_.range.start; --l) {
     const std::string& attr = ctx_.attr_name(l);
     for (const ClassObjects& c : scope[level_index(l)]) {
-      for (const auto& obj : c.objects) {
+      for (const PlacedObject& p : c.objects) {
+        const Object& obj = *p.obj;
         scratch.clear();
         if (l == ctx_.range.end) {
           for (std::size_t n = end_counts[next_end_object++]; n > 0; --n) {
@@ -202,7 +203,7 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
                 values.begin()));
           }
         } else {
-          for (const Value& v : obj->values(attr)) {
+          for (const Value& v : obj.values(attr)) {
             if (v.kind() != Value::Kind::kRef) continue;
             const auto it = reach.find(v.as_ref());
             if (it == reach.end()) continue;
@@ -211,12 +212,12 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
             for (std::size_t i = 0; i < it->second.size; ++i) {
               scratch.push_back(entries[it->second.begin + i].value);
             }
-            links.emplace_back(v.as_ref(), obj->oid);
+            links.emplace_back(v.as_ref(), obj.oid);
           }
         }
         const std::size_t begin = entries.size();
         AppendCounted(&scratch, &entries);
-        reach[obj->oid] = Run{begin, entries.size() - begin};
+        reach[obj.oid] = Run{begin, entries.size() - begin};
       }
     }
   }
@@ -233,8 +234,8 @@ void NIXIndex::BuildImpl(const ObjectStore& store) {
   // order, so the posting goes to its place in the record, not to the end.
   for (int l = ctx_.range.start; l <= ctx_.range.end; ++l) {
     for (const ClassObjects& c : scope[level_index(l)]) {
-      for (const auto& obj : c.objects) {
-        const Oid oid = obj->oid;
+      for (const PlacedObject& p : c.objects) {
+        const Oid oid = p.obj->oid;
         const Run run = reach.at(oid);
         const std::span<const ReachEntry> mine =
             std::span<const ReachEntry>(entries).subspan(run.begin, run.size);

@@ -1,53 +1,24 @@
 #include "index/none_index.h"
 
 #include <algorithm>
-#include <memory>
+
+#include "index/path_walk.h"
 
 namespace pathix {
-
-bool NoneIndex::Reaches(Oid oid, int level, const std::vector<Key>& keys,
-                        std::set<PageId>* charged) {
-  const PageId page = store_->PageOf(oid);
-  if (page != kInvalidPage && charged->insert(page).second) {
-    pager_->NoteRead(page);
-  }
-  // Owning reference: NONE probes run during queries, concurrently with
-  // deletes claiming objects out of the store.
-  const std::shared_ptr<const Object> obj = store_->PeekRef(oid);
-  if (obj == nullptr) return false;
-  const std::string& attr = ctx_.attr_name(level);
-  if (level == ctx_.range.end) {
-    for (const Value& v : obj->values(attr)) {
-      // Dangling references cannot match a live boundary key.
-      if (v.kind() == Value::Kind::kRef &&
-          store_->PeekRef(v.as_ref()) == nullptr) {
-        continue;
-      }
-      const Key k = Key::FromValue(v);
-      if (std::find(keys.begin(), keys.end(), k) != keys.end()) return true;
-    }
-    return false;
-  }
-  for (Oid child : obj->refs(attr)) {
-    if (Reaches(child, level + 1, keys, charged)) return true;
-  }
-  return false;
-}
 
 std::vector<Oid> NoneIndex::Probe(const std::vector<Key>& keys,
                                   int target_level,
                                   const std::vector<ClassId>& target_classes) {
   PATHIX_DCHECK(store_ != nullptr && "Build() must run before Probe()");
+  PATHIX_DCHECK(StrictlyIncreasing(keys));
+  PathWalk walk(*store_, *ctx_.schema, *ctx_.path, target_level,
+                ctx_.range.end, keys, /*skip_dangling=*/true, pager_);
   std::vector<Oid> out;
-  std::set<PageId> charged;
   for (ClassId cls : target_classes) {
-    for (Oid oid : store_->PeekAll(cls)) {
+    for (const PlacedObject& p : store_->PeekAllPlaced(cls)) {
       // The scan itself touches every segment page once.
-      const PageId page = store_->PageOf(oid);
-      if (page != kInvalidPage && charged.insert(page).second) {
-        pager_->NoteRead(page);
-      }
-      if (Reaches(oid, target_level, keys, &charged)) out.push_back(oid);
+      walk.Charge(p.page);
+      if (walk.Reaches(p)) out.push_back(p.obj->oid);
     }
   }
   std::sort(out.begin(), out.end());

@@ -1,14 +1,13 @@
 #pragma once
 
-#include <set>
-
 #include "index/subpath_index.h"
 
 /// \file none_index.h
 /// \brief Physical counterpart of the kNone organization (the paper's
 /// "no index on a subpath" future-work extension): the subpath is evaluated
 /// navigationally against the object store — scan the target classes, follow
-/// the forward references, test membership of the boundary keys.
+/// the forward references, test membership of the boundary keys. A probe is
+/// one PathWalk, the walk a naive query makes.
 ///
 /// Maintenance is free (there is nothing to maintain); queries pay the scan,
 /// exactly as the NoneCostModel predicts.
@@ -45,12 +44,6 @@ class NoneIndex : public SubpathIndex {
   void ChargeBuildIo(const ObjectStore& store) override { (void)store; }
 
  private:
-  /// True if \p oid (an object at \p level) reaches one of \p keys at the
-  /// subpath's ending attribute. Charges object pages through the per-query
-  /// cache.
-  bool Reaches(Oid oid, int level, const std::vector<Key>& keys,
-               std::set<PageId>* charged);
-
   const ObjectStore* store_ = nullptr;
 };
 

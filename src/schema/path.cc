@@ -1,7 +1,5 @@
 #include "schema/path.h"
 
-#include <unordered_set>
-
 namespace pathix {
 
 Result<Path> Path::Create(const Schema& schema, ClassId starting_class,
@@ -13,13 +11,23 @@ Result<Path> Path::Create(const Schema& schema, ClassId starting_class,
     return Status::InvalidArgument("a path needs at least one attribute");
   }
   Path p;
-  std::unordered_set<ClassId> seen;
   ClassId cur = starting_class;
   for (std::size_t i = 0; i < attr_names.size(); ++i) {
-    if (!seen.insert(cur).second) {
-      return Status::InvalidArgument(
-          "class '" + schema.GetClass(cur).name() +
-          "' appears more than once in the path (Def. 2.1)");
+    for (ClassId prev : p.classes_) {
+      if (prev == cur) {
+        return Status::InvalidArgument(
+            "class '" + schema.GetClass(cur).name() +
+            "' appears more than once in the path (Def. 2.1)");
+      }
+      // A level holds its class's whole hierarchy: two levels whose
+      // hierarchies meet would claim the same objects.
+      if (schema.IsSameOrSubclassOf(cur, prev) ||
+          schema.IsSameOrSubclassOf(prev, cur)) {
+        return Status::InvalidArgument(
+            "classes '" + schema.GetClass(prev).name() + "' and '" +
+            schema.GetClass(cur).name() +
+            "' share an inheritance hierarchy in the path (Def. 2.1)");
+      }
     }
     const Attribute* attr = schema.ResolveAttribute(cur, attr_names[i]);
     if (attr == nullptr) {

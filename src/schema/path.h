@@ -23,7 +23,9 @@ namespace pathix {
 /// Definition 2.1 constraints enforced by Create():
 ///  - C1 is a class of the schema and A1 an attribute of C1;
 ///  - A_l is an attribute of C_l where C_l is the domain of A_{l-1};
-///  - a class appears at most once along the path.
+///  - a class appears at most once along the path, and no two levels'
+///    classes share an inheritance hierarchy (one a subclass of the other):
+///    each object belongs to at most one level.
 class Path {
  public:
   /// An empty path; usable only as an assignment target.

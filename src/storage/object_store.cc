@@ -104,30 +104,6 @@ std::shared_ptr<const Object> ObjectStore::Take(Oid oid) {
   return claimed;
 }
 
-const Object* ObjectStore::Get(Oid oid) {
-  Location loc;
-  if (!FindLocation(oid, &loc)) return nullptr;
-  Shard* shard = FindShard(loc.cls);
-  if (shard == nullptr) return nullptr;
-  ReaderMutexLock lock(&shard->mu);
-  auto it = shard->objects.find(oid);
-  if (it == shard->objects.end()) return nullptr;
-  PageGuard slot_pin = pager_->PinRead(loc.page);
-  return it->second.get();
-}
-
-std::shared_ptr<const Object> ObjectStore::GetRef(Oid oid) {
-  Location loc;
-  if (!FindLocation(oid, &loc)) return nullptr;
-  Shard* shard = FindShard(loc.cls);
-  if (shard == nullptr) return nullptr;
-  ReaderMutexLock lock(&shard->mu);
-  auto it = shard->objects.find(oid);
-  if (it == shard->objects.end()) return nullptr;
-  PageGuard slot_pin = pager_->PinRead(loc.page);
-  return it->second;
-}
-
 const Object* ObjectStore::Peek(Oid oid) const {
   Location loc;
   if (!FindLocation(oid, &loc)) return nullptr;
@@ -148,18 +124,6 @@ std::shared_ptr<const Object> ObjectStore::PeekRef(Oid oid) const {
   return it == shard->objects.end() ? nullptr : it->second;
 }
 
-std::vector<Oid> ObjectStore::Scan(ClassId cls) {
-  std::vector<Oid> out;
-  Shard* shard = FindShard(cls);
-  if (shard == nullptr) return out;
-  ReaderMutexLock lock(&shard->mu);
-  for (const SegmentPage& page : shard->pages) {
-    pager_->NoteRead(page.page);
-    out.insert(out.end(), page.oids.begin(), page.oids.end());
-  }
-  return out;
-}
-
 std::vector<Oid> ObjectStore::PeekAll(ClassId cls) const {
   std::vector<Oid> out;
   Shard* shard = FindShard(cls);
@@ -171,9 +135,8 @@ std::vector<Oid> ObjectStore::PeekAll(ClassId cls) const {
   return out;
 }
 
-std::vector<std::shared_ptr<const Object>> ObjectStore::PeekAllRefs(
-    ClassId cls) const {
-  std::vector<std::shared_ptr<const Object>> out;
+std::vector<PlacedObject> ObjectStore::PeekAllPlaced(ClassId cls) const {
+  std::vector<PlacedObject> out;
   Shard* shard = FindShard(cls);
   if (shard == nullptr) return out;
   ReaderMutexLock lock(&shard->mu);
@@ -184,7 +147,7 @@ std::vector<std::shared_ptr<const Object>> ObjectStore::PeekAllRefs(
       // under the shard mutex.
       const auto it = shard->objects.find(oid);
       PATHIX_DCHECK(it != shard->objects.end());
-      out.push_back(it->second);
+      out.push_back(PlacedObject{it->second, page.page});
     }
   }
   return out;

@@ -25,15 +25,22 @@
 /// locks only and never contend with traffic on other classes. A global
 /// oid->location map behind its own mutex routes oid lookups to the right
 /// shard. Objects are held by shared_ptr: the ref-returning accessors
-/// (PeekRef/GetRef/InsertAndGet/Take) hand out owning references that stay
-/// valid across a concurrent delete of the same object — the raw-pointer
-/// accessors (Get/Peek) remain for callers whose lifetime is externally
+/// (PeekRef/PeekAllPlaced/InsertAndGet/Take) hand out owning references that
+/// stay valid across a concurrent delete of the same object — the
+/// raw-pointer Peek remains for callers whose lifetime is externally
 /// ordered (single-threaded tooling, tests), valid until *that* object is
 /// deleted. Lock order within the store: shard mutex before the location
 /// mutex, never both the other way; both may call into the Pager (the
 /// leaf).
 
 namespace pathix {
+
+/// \brief An owning reference to a stored object and the segment page
+/// holding it.
+struct PlacedObject {
+  std::shared_ptr<const Object> obj;
+  PageId page = kInvalidPage;
+};
 
 /// \brief The object heap of one simulated database.
 class ObjectStore {
@@ -58,33 +65,24 @@ class ObjectStore {
   /// read + one write on success.
   std::shared_ptr<const Object> Take(Oid oid);
 
-  /// Fetches an object; counts one page read. nullptr if absent. The
-  /// pointer is valid until that object is deleted — concurrent deleters
-  /// must be ruled out by the caller (prefer GetRef under concurrency).
-  const Object* Get(Oid oid);
-
-  /// As Get, returning an owning reference.
-  std::shared_ptr<const Object> GetRef(Oid oid);
-
-  /// Fetch without page accounting (for test assertions and index builds
-  /// whose cost is not part of an experiment). Same lifetime caveat as
-  /// Get.
+  /// Fetch without page accounting (for test assertions and index
+  /// upkeep whose cost is not part of an experiment). The pointer is valid
+  /// until that object is deleted — concurrent deleters must be ruled out
+  /// by the caller (prefer PeekRef under concurrency).
   const Object* Peek(Oid oid) const;
 
   /// As Peek, returning an owning reference (safe under concurrency).
   std::shared_ptr<const Object> PeekRef(Oid oid) const;
 
-  /// All live oids of \p cls, counting one read per segment page (the
-  /// class-scan a naive evaluation performs).
-  std::vector<Oid> Scan(ClassId cls);
-
-  /// As Scan but uncounted.
+  /// All live oids of \p cls in segment order (uncounted).
   std::vector<Oid> PeekAll(ClassId cls) const;
 
-  /// Owning references to the live objects of \p cls, in PeekAll's order,
-  /// read under one shard lock (uncounted): what index builds and ANALYZE
-  /// iterate, without a location lookup and three shared locks per object.
-  std::vector<std::shared_ptr<const Object>> PeekAllRefs(ClassId cls) const;
+  /// Owning references to the live objects of \p cls, each with the segment
+  /// page holding it, in PeekAll's order, read under one shard lock
+  /// (uncounted): the one whole-class reader of index builds, ANALYZE and
+  /// navigational walks, without a location lookup and three shared locks
+  /// per object.
+  std::vector<PlacedObject> PeekAllPlaced(ClassId cls) const;
 
   /// True when \p oid is live (uncounted): one location lookup. How builds
   /// and ANALYZE tell a dangling reference.

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -139,6 +140,91 @@ TEST(ServeStressTest, QueriesAndUpdatesAcrossEpochSwaps) {
 
   // Refcounts return: dropping the final epoch releases every part (old
   // epochs' parts were already released when their last query finished).
+  db.DropIndexes("people");
+  EXPECT_EQ(db.registry().live_parts(), 0u);
+}
+
+TEST(ServeStressTest, IndexedAnswersEqualNaiveAnswersAcrossEpochSwaps) {
+  // No writers: the store stays put, so whatever epoch an indexed query
+  // pins, its answer must equal the naive walk's. Four workers ask the same
+  // (value, target class) pairs both ways, over every class of the path and
+  // with and without subclasses, while the reconfigurer rotates MX, MIX,
+  // NIX and NONE parts (a NONE part over three levels among them) under
+  // them.
+  constexpr int kPairsPerWorker = 60;
+  constexpr int kSwaps = 25;
+
+  PaperSetup setup = MakeExample51Setup();
+  SimDatabase db(setup.schema, PhysicalParams{});
+  CheckOk(db.RegisterPath("people", setup.path));
+  PathDataGenerator gen(41);
+  gen.Populate(&db, {&setup.path},
+               {
+                   {setup.division, 8, 4, 1.0},
+                   {setup.company, 8, 0, 2.0},
+                   {setup.vehicle, 30, 0, 2.0},
+                   {setup.bus, 10, 0, 2.0},
+                   {setup.truck, 10, 0, 2.0},
+                   {setup.person, 150, 0, 1.0},
+               });
+  const IndexConfiguration rotation[] = {
+      IndexConfiguration({{Subpath{1, 3}, IndexOrg::kNone},
+                          {Subpath{4, 4}, IndexOrg::kMX}}),
+      IndexConfiguration({{Subpath{1, 2}, IndexOrg::kNIX},
+                          {Subpath{3, 4}, IndexOrg::kMX}}),
+      IndexConfiguration({{Subpath{1, 1}, IndexOrg::kMX},
+                          {Subpath{2, 2}, IndexOrg::kNone},
+                          {Subpath{3, 4}, IndexOrg::kMIX}}),
+      IndexConfiguration({{Subpath{1, 2}, IndexOrg::kMIX},
+                          {Subpath{3, 4}, IndexOrg::kNIX}}),
+      IndexConfiguration({{Subpath{1, 4}, IndexOrg::kNIX}}),
+  };
+  constexpr int kRotation = 5;
+  CheckOk(db.ConfigureIndexes("people", rotation[0]));
+
+  std::atomic<int> swaps_done{0};
+  std::thread reconfigurer([&] {
+    for (int i = 1; i <= kSwaps; ++i) {
+      CheckOk(db.ReconfigureIndexes("people", rotation[i % kRotation]));
+      swaps_done.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  const std::vector<ClassId> scope = setup.path.Scope(setup.schema);
+  std::atomic<int> nonempty{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kWorkers);
+  for (int w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&, w] {
+      for (int i = 0; i < kPairsPerWorker; ++i) {
+        const int pick = w + i * kWorkers;
+        const Key key = Key::FromString(EndingValue(pick % 5));
+        const ClassId target =
+            scope[static_cast<std::size_t>(pick) % scope.size()];
+        const bool subclasses = (pick / 7) % 2 == 1;
+        Result<std::vector<Oid>> indexed =
+            db.Query("people", key, target, subclasses);
+        Result<std::vector<Oid>> naive =
+            db.QueryNaive("people", key, target, subclasses);
+        ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+        ASSERT_TRUE(naive.ok()) << naive.status().ToString();
+        std::vector<Oid> want = std::move(naive).value();
+        std::vector<Oid> got = std::move(indexed).value();
+        std::sort(want.begin(), want.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, want) << setup.schema.GetClass(target).name()
+                             << (subclasses ? "+ " : " ")
+                             << EndingValue(pick % 5);
+        if (!want.empty()) nonempty.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  reconfigurer.join();
+
+  EXPECT_EQ(swaps_done.load(), kSwaps);
+  // Most pairs select something: the comparison is not of empty sets.
+  EXPECT_GT(nonempty.load(), kWorkers * kPairsPerWorker / 3);
   db.DropIndexes("people");
   EXPECT_EQ(db.registry().live_parts(), 0u);
 }

@@ -157,6 +157,25 @@ TEST(SpecParserTest, InvalidPathAttributeRejected) {
   EXPECT_NE(spec.status().message().find("ghost"), std::string::npos);
 }
 
+TEST(SpecParserTest, PathWhoseLevelsShareAHierarchyRejected) {
+  // Company.fleet holds Buses, and a Bus is a Vehicle: the path would put
+  // Buses on levels 1 and 3.
+  const char* bad =
+      "class Vehicle 10 10 1\n"
+      "class Bus : Vehicle 10 10 1\n"
+      "class Company 10 10 1\n"
+      "ref Vehicle man Company\n"
+      "ref Company fleet Bus multi\n"
+      "attr Vehicle color string\n"
+      "path Vehicle man fleet color\n";
+  Result<WorkloadSpec> spec = ParseWorkloadSpec(bad);
+  ASSERT_FALSE(spec.ok());
+  const std::string& message = spec.status().message();
+  EXPECT_NE(message.find("line 7"), std::string::npos) << message;
+  EXPECT_NE(message.find("'Vehicle' and 'Bus'"), std::string::npos)
+      << message;
+}
+
 TEST(SpecParserTest, MissingFileIsNotFound) {
   Result<AdvisorSpec> spec = ParseAdvisorSpecFile("/nonexistent/x.pix");
   ASSERT_FALSE(spec.ok());

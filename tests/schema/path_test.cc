@@ -95,5 +95,36 @@ TEST_F(PathTest, ClassRepetitionRejected) {
   EXPECT_FALSE(cyc.ok());  // would use A twice as a navigated class
 }
 
+TEST_F(PathTest, LevelsSharingAHierarchyRejected) {
+  // Company.fleet holds Buses, Company.cars Vehicles, and a Bus is a
+  // Vehicle. A level stands for its class's whole hierarchy, so a Bus could
+  // sit on two levels of either path below; Def. 2.1 needs each object on
+  // one level at most.
+  Schema s;
+  const ClassId vehicle = s.AddClass("Vehicle").value();
+  const ClassId bus = s.AddClass("Bus", vehicle).value();
+  const ClassId company = s.AddClass("Company").value();
+  ASSERT_TRUE(s.AddReferenceAttribute(vehicle, "man", company).ok());
+  ASSERT_TRUE(s.AddReferenceAttribute(company, "fleet", bus, true).ok());
+  ASSERT_TRUE(s.AddReferenceAttribute(company, "cars", vehicle, true).ok());
+  ASSERT_TRUE(s.AddAtomicAttribute(vehicle, "color", AtomicType::kString).ok());
+
+  const Result<Path> down = Path::Create(s, vehicle, {"man", "fleet", "color"});
+  ASSERT_FALSE(down.ok());
+  EXPECT_EQ(down.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(down.status().message().find("'Vehicle' and 'Bus'"),
+            std::string::npos)
+      << down.status().message();
+
+  const Result<Path> up = Path::Create(s, bus, {"man", "cars", "color"});
+  ASSERT_FALSE(up.ok());
+  EXPECT_NE(up.status().message().find("'Bus' and 'Vehicle'"),
+            std::string::npos)
+      << up.status().message();
+
+  // Ending in a reference to Buses is fine: its domain is no level.
+  EXPECT_TRUE(Path::Create(s, vehicle, {"man", "fleet"}).ok());
+}
+
 }  // namespace
 }  // namespace pathix

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "storage/object_store.h"
@@ -325,12 +326,13 @@ TEST_F(ObjectStoreTest, InsertAssignsDistinctOids) {
   EXPECT_EQ(store_.live_objects(), 2u);
 }
 
-TEST_F(ObjectStoreTest, GetCountsOneRead) {
+TEST_F(ObjectStoreTest, PeekReturnsTheStoredObject) {
   const Oid a = Put(0, 1);
-  pager_.ResetStats();
-  ASSERT_NE(store_.Get(a), nullptr);
-  EXPECT_EQ(pager_.stats().reads, 1u);
-  EXPECT_EQ(store_.Get(a)->values("tag")[0].as_int(), 1);
+  ASSERT_NE(store_.Peek(a), nullptr);
+  EXPECT_EQ(store_.Peek(a)->values("tag")[0].as_int(), 1);
+  ASSERT_NE(store_.PeekRef(a), nullptr);
+  EXPECT_EQ(store_.PeekRef(a).get(), store_.Peek(a));
+  EXPECT_EQ(store_.Peek(a + 1), nullptr);
 }
 
 TEST_F(ObjectStoreTest, PagesHoldOnlyOneClass) {
@@ -346,12 +348,11 @@ TEST_F(ObjectStoreTest, SegmentGrowsByPage) {
   EXPECT_EQ(store_.PeekAll(0).size(), 50u);
 }
 
-TEST_F(ObjectStoreTest, ScanCountsSegmentPages) {
+TEST_F(ObjectStoreTest, PlacedPagesCoverTheSegment) {
   for (int i = 0; i < 50; ++i) Put(0, i);
-  pager_.ResetStats();
-  const std::vector<Oid> oids = store_.Scan(0);
-  EXPECT_EQ(oids.size(), 50u);
-  EXPECT_EQ(pager_.stats().reads, store_.SegmentPages(0));
+  std::set<PageId> pages;
+  for (const PlacedObject& p : store_.PeekAllPlaced(0)) pages.insert(p.page);
+  EXPECT_EQ(pages.size(), store_.SegmentPages(0));
 }
 
 TEST_F(ObjectStoreTest, DeleteRemovesAndCounts) {
@@ -372,7 +373,7 @@ TEST_F(ObjectStoreTest, PeekIsUncounted) {
   EXPECT_EQ(pager_.stats().total(), 0u);
 }
 
-TEST_F(ObjectStoreTest, PeekAllRefsListsPeekAllsObjectsInItsOrder) {
+TEST_F(ObjectStoreTest, PeekAllPlacedListsPeekAllsObjectsInItsOrder) {
   std::vector<Oid> oids;
   for (int i = 0; i < 50; ++i) oids.push_back(Put(0, i));
   Put(1, 99);
@@ -383,14 +384,14 @@ TEST_F(ObjectStoreTest, PeekAllRefsListsPeekAllsObjectsInItsOrder) {
   pager_.ResetStats();
 
   const std::vector<Oid> want = store_.PeekAll(0);
-  const std::vector<std::shared_ptr<const Object>> got =
-      store_.PeekAllRefs(0);
+  const std::vector<PlacedObject> got = store_.PeekAllPlaced(0);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i]->oid, want[i]) << i;
-    EXPECT_EQ(got[i].get(), store_.Peek(want[i])) << i;
+    EXPECT_EQ(got[i].obj->oid, want[i]) << i;
+    EXPECT_EQ(got[i].obj.get(), store_.Peek(want[i])) << i;
+    EXPECT_EQ(got[i].page, store_.PageOf(want[i])) << i;
   }
-  EXPECT_TRUE(store_.PeekAllRefs(7).empty());  // a class never stored
+  EXPECT_TRUE(store_.PeekAllPlaced(7).empty());  // a class never stored
 
   EXPECT_TRUE(store_.Contains(oids[1]));
   EXPECT_FALSE(store_.Contains(oids[0]));  // deleted
